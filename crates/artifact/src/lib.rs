@@ -15,6 +15,9 @@
 //! | [`ArtifactKind::Executable`] | `.vx`   | [`ExecutableArtifact`] — a linked [`Executable`] |
 //! | [`ArtifactKind::Library`]    | `.vlib` | [`LibraryArtifact`] — `.vo`+`.csum` member archive |
 //!
+//! The extensions are naming conventions only: readers take a file's kind
+//! from its header ([`sniff`]), never from its name.
+//!
 //! ## Wire format
 //!
 //! One ASCII header line, then the payload as canonical JSON, then a
@@ -94,26 +97,9 @@ impl ArtifactKind {
         }
     }
 
-    /// The conventional file extension (without the dot).
-    pub fn extension(self) -> &'static str {
-        match self {
-            ArtifactKind::Summary => "csum",
-            ArtifactKind::Directives => "cdir",
-            ArtifactKind::Object => "vo",
-            ArtifactKind::Executable => "vx",
-            ArtifactKind::Library => "vlib",
-        }
-    }
-
     /// Parses a header tag.
     pub fn from_tag(tag: &str) -> Option<ArtifactKind> {
         ArtifactKind::ALL.into_iter().find(|k| k.tag() == tag)
-    }
-
-    /// The kind conventionally stored at `path`, judged by extension.
-    pub fn for_path(path: &Path) -> Option<ArtifactKind> {
-        let ext = path.extension()?.to_str()?;
-        ArtifactKind::ALL.into_iter().find(|k| k.extension() == ext)
     }
 }
 
@@ -559,13 +545,10 @@ mod tests {
     }
 
     #[test]
-    fn kinds_map_to_extensions_and_back() {
+    fn kinds_map_to_tags_and_back() {
         for k in ArtifactKind::ALL {
             assert_eq!(ArtifactKind::from_tag(k.tag()), Some(k));
-            let p = std::path::PathBuf::from(format!("x.{}", k.extension()));
-            assert_eq!(ArtifactKind::for_path(&p), Some(k));
         }
-        assert_eq!(ArtifactKind::for_path(Path::new("x.txt")), None);
         assert_eq!(ArtifactKind::from_tag("nope"), None);
     }
 

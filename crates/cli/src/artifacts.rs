@@ -1,9 +1,9 @@
-//! Artifact-aware file handling for `cminc`: loaders that accept both the
-//! versioned [`ipra_artifact`] formats (`.csum`/`.cdir`/`.vo`/`.vx`/`.vlib`)
-//! and the legacy bare-JSON files, plus the `c`, `lib` and `objdump`
-//! subcommands.
+//! Artifact file handling for `cminc`: loaders and writers for the
+//! versioned [`ipra_artifact`] formats (`.csum`/`.cdir`/`.vo`/`.vx`/`.vlib`),
+//! which judge a file's kind by its header rather than its name, plus the
+//! `c`, `lib` and `objdump` subcommands.
 
-use crate::{flag_value, module_name, positionals, read, write};
+use crate::{flag_value, module_name, positionals, read};
 use ipra_artifact::{
     ArtifactKind, DirectivesArtifact, ExecutableArtifact, LibraryArtifact, LibraryMember,
     ObjectArtifact, SummaryArtifact,
@@ -11,6 +11,7 @@ use ipra_artifact::{
 use ipra_core::ProgramDatabase;
 use ipra_driver::SourceFile;
 use ipra_summary::ModuleSummary;
+use serde::Deserialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use vpr::inst::Inst;
@@ -22,107 +23,78 @@ fn artifact_err(e: ipra_artifact::ArtifactError) -> String {
     e.to_string()
 }
 
-/// Reads module summaries from one input file: a `.csum` artifact, a
-/// `.vlib` archive (all member summaries, in archive order), or a legacy
-/// bare-JSON `.sum` file.
+/// Reads the file at `path` and the artifact kind its header declares. A
+/// file without an artifact header is an error naming the path.
+fn read_artifact(path: &str) -> Result<(ArtifactKind, String), String> {
+    let text = read(path)?;
+    let (kind, _, _) = ipra_artifact::sniff(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok((kind, text))
+}
+
+/// Decodes artifact `text` read from `path` as `kind`.
+fn decode<T: Deserialize>(path: &str, kind: ArtifactKind, text: &str) -> Result<T, String> {
+    ipra_artifact::decode(kind, text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Reads the artifact at `path`, which must be of `kind`.
+fn load<T: Deserialize>(path: &str, kind: ArtifactKind) -> Result<T, String> {
+    decode(path, kind, &read(path)?)
+}
+
+/// Reads module summaries from one input file: a `.csum` artifact, or a
+/// `.vlib` archive (all member summaries, in archive order).
 pub fn load_summaries(path: &str) -> Result<Vec<ModuleSummary>, String> {
-    match ArtifactKind::for_path(Path::new(path)) {
-        Some(ArtifactKind::Summary) => {
-            let a: SummaryArtifact =
-                ipra_artifact::read_file(ArtifactKind::Summary, Path::new(path))
-                    .map_err(artifact_err)?;
+    match read_artifact(path)? {
+        (ArtifactKind::Summary, text) => {
+            let a: SummaryArtifact = decode(path, ArtifactKind::Summary, &text)?;
             Ok(vec![a.summary])
         }
-        Some(ArtifactKind::Library) => {
-            let a: LibraryArtifact =
-                ipra_artifact::read_file(ArtifactKind::Library, Path::new(path))
-                    .map_err(artifact_err)?;
+        (ArtifactKind::Library, text) => {
+            let a: LibraryArtifact = decode(path, ArtifactKind::Library, &text)?;
             Ok(a.members.into_iter().map(|m| m.summary).collect())
         }
-        Some(k) => Err(format!("{path}: expected a summary or library artifact, found {k}")),
-        None => {
-            let m: ModuleSummary =
-                serde_json::from_str(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-            Ok(vec![m])
-        }
+        (k, _) => Err(format!("{path}: expected a summary or library artifact, found {k}")),
     }
 }
 
-/// Reads one relocatable object: a `.vo` artifact or a legacy bare-JSON
-/// `.obj` file.
+/// Reads one relocatable object (a `.vo` artifact).
 pub fn load_object(path: &str) -> Result<ObjectModule, String> {
-    match ArtifactKind::for_path(Path::new(path)) {
-        Some(ArtifactKind::Object) => {
-            let a: ObjectArtifact = ipra_artifact::read_file(ArtifactKind::Object, Path::new(path))
-                .map_err(artifact_err)?;
-            Ok(a.object)
-        }
-        Some(k) => Err(format!("{path}: expected an object artifact, found {k}")),
-        None => serde_json::from_str(&read(path)?).map_err(|e| format!("{path}: {e}")),
-    }
+    Ok(load::<ObjectArtifact>(path, ArtifactKind::Object)?.object)
 }
 
-/// Reads a program database: a `.cdir` artifact or a legacy bare-JSON
-/// `.db` file.
+/// Reads a program database (a `.cdir` artifact).
 pub fn load_database(path: &str) -> Result<ProgramDatabase, String> {
-    match ArtifactKind::for_path(Path::new(path)) {
-        Some(ArtifactKind::Directives) => {
-            let a: DirectivesArtifact =
-                ipra_artifact::read_file(ArtifactKind::Directives, Path::new(path))
-                    .map_err(artifact_err)?;
-            Ok(a.database)
-        }
-        Some(k) => Err(format!("{path}: expected a directives artifact, found {k}")),
-        None => ProgramDatabase::from_json(&read(path)?).map_err(|e| format!("{path}: {e}")),
-    }
+    Ok(load::<DirectivesArtifact>(path, ArtifactKind::Directives)?.database)
 }
 
-/// Writes a program database as a `.cdir` artifact when the output path
-/// carries that extension (header stamped for `target`: the directive
-/// registers are target-specific, so `objdump` needs the provenance),
-/// legacy bare JSON otherwise.
+/// Writes a program database as a `.cdir` artifact, its header stamped for
+/// `target`: the directive registers are target-specific, so `objdump`
+/// needs the provenance.
 pub fn write_database_for(
     path: &str,
     config: &str,
     database: &ProgramDatabase,
     target: TargetId,
 ) -> Result<(), String> {
-    if ArtifactKind::for_path(Path::new(path)) == Some(ArtifactKind::Directives) {
-        let payload = DirectivesArtifact { config: config.to_string(), database: database.clone() };
-        ipra_artifact::write_file_for(ArtifactKind::Directives, Path::new(path), &payload, target)
-            .map_err(artifact_err)
-    } else {
-        write(path, &database.to_json())
-    }
-}
-
-/// Reads an executable, sniffing the artifact header (so any name works,
-/// not just `.vx`); falls back to legacy bare JSON.
-pub fn load_executable(path: &str) -> Result<Executable, String> {
-    let text = read(path)?;
-    if text.starts_with(ipra_artifact::MAGIC) {
-        let a: ExecutableArtifact =
-            ipra_artifact::decode(ArtifactKind::Executable, &text).map_err(artifact_err)?;
-        Ok(a.exe)
-    } else {
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-/// Writes an executable as a `.vx` artifact when the output path carries
-/// that extension, legacy bare JSON otherwise.
-pub fn write_executable(path: &str, exe: &Executable) -> Result<(), String> {
-    if ArtifactKind::for_path(Path::new(path)) == Some(ArtifactKind::Executable) {
-        ipra_artifact::write_file_for(
-            ArtifactKind::Executable,
-            Path::new(path),
-            &ExecutableArtifact { exe: exe.clone() },
-            exe.target(),
-        )
+    let payload = DirectivesArtifact { config: config.to_string(), database: database.clone() };
+    ipra_artifact::write_file_for(ArtifactKind::Directives, Path::new(path), &payload, target)
         .map_err(artifact_err)
-    } else {
-        write(path, &serde_json::to_string(exe).expect("serialize"))
-    }
+}
+
+/// Reads an executable (a `.vx` artifact, whatever the file is named).
+pub fn load_executable(path: &str) -> Result<Executable, String> {
+    Ok(load::<ExecutableArtifact>(path, ArtifactKind::Executable)?.exe)
+}
+
+/// Writes an executable as a `.vx` artifact, whatever the file is named.
+pub fn write_executable(path: &str, exe: &Executable) -> Result<(), String> {
+    ipra_artifact::write_file_for(
+        ArtifactKind::Executable,
+        Path::new(path),
+        &ExecutableArtifact { exe: exe.clone() },
+        exe.target(),
+    )
+    .map_err(artifact_err)
 }
 
 /// Opens the compilation cache: persistent when `--cache-dir` is given,
@@ -137,7 +109,8 @@ pub fn open_cache(args: &[String]) -> Result<ipra_driver::CompilationCache, Stri
 
 /// `cminc c`: separate compilation of one module — phase 1 + phase 2 under
 /// the directives in `--dir` (standard conventions without it), writing the
-/// `.vo` object and `.csum` summary. With `--cache-dir`, both phases are
+/// `.vo` object and, beside it unless `--summary` says otherwise, the
+/// `.csum` summary. With `--cache-dir`, both phases are
 /// served from the persistent cache when their fingerprints still match.
 pub fn c_cmd(args: &[String]) -> Result<(), String> {
     let files = positionals(args);
@@ -146,7 +119,9 @@ pub fn c_cmd(args: &[String]) -> Result<(), String> {
     };
     let stem = module_name(src_path);
     let out = flag_value(args, "-o").unwrap_or(format!("{stem}.vo"));
-    let sum_out = flag_value(args, "--summary").unwrap_or(format!("{stem}.csum"));
+    // The summary lands beside the object, where `lib` looks for it.
+    let sum_out = flag_value(args, "--summary")
+        .unwrap_or_else(|| Path::new(&out).with_extension("csum").display().to_string());
     let database = match flag_value(args, "--dir") {
         Some(p) => load_database(&p)?,
         None => ProgramDatabase::new(),
@@ -203,12 +178,17 @@ pub fn collect_link_inputs(paths: &[String]) -> Result<Vec<ObjectModule>, String
     let mut roots = Vec::new();
     let mut library = LibraryArtifact::default();
     for p in paths {
-        if ArtifactKind::for_path(Path::new(p)) == Some(ArtifactKind::Library) {
-            let a: LibraryArtifact = ipra_artifact::read_file(ArtifactKind::Library, Path::new(p))
-                .map_err(artifact_err)?;
-            library.members.extend(a.members);
-        } else {
-            roots.push(load_object(p)?);
+        match read_artifact(p)? {
+            (ArtifactKind::Library, text) => {
+                let a: LibraryArtifact = decode(p, ArtifactKind::Library, &text)?;
+                library.members.extend(a.members);
+            }
+            (ArtifactKind::Object, text) => {
+                roots.push(decode::<ObjectArtifact>(p, ArtifactKind::Object, &text)?.object);
+            }
+            (k, _) => {
+                return Err(format!("{p}: expected an object or library artifact, found {k}"))
+            }
         }
     }
     for i in library.select(&roots) {

@@ -22,9 +22,9 @@
 //!
 //! `objdump` pretty-prints any artifact; `lib` archives objects (plus
 //! their summaries) into a `.vlib` that `analyze` and `link` both accept,
-//! pulling only the members the program needs. The pre-artifact bare-JSON
-//! files (`.sum`/`.db`/`.obj`/`.exe`) are still read and written whenever
-//! a path doesn't carry an artifact extension.
+//! pulling only the members the program needs. Every command reads and
+//! writes these artifacts only, and judges an input's kind by its header,
+//! never by its file name.
 
 mod artifacts;
 
@@ -32,7 +32,7 @@ use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, PaperConfig}
 use ipra_core::trace::AnalyzerTrace;
 use ipra_core::{ProfileData, ProgramDatabase};
 use ipra_driver::SourceFile;
-use ipra_summary::{summarize_module, ModuleSummary, ProgramSummary};
+use ipra_summary::ProgramSummary;
 use ipra_telemetry::Telemetry;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -49,9 +49,7 @@ fn main() -> ExitCode {
         "c" => artifacts::c_cmd(rest),
         "lib" => artifacts::lib_cmd(rest),
         "objdump" => artifacts::objdump_cmd(rest),
-        "phase1" => phase1(rest),
         "analyze" => analyze_cmd(rest),
-        "phase2" => phase2(rest),
         "link" => link_cmd(rest),
         "verify" => verify_cmd(rest),
         "run" => run_cmd(rest),
@@ -89,8 +87,6 @@ const USAGE: &str = "usage:
   cminc profile <prog.vx | src.cmin...> [--config ...] [--input \"v v v\"] [--engine fast|ref] [--top N] [--json <out.json>]
   cminc stats <src.cmin>... [--config ...] [--input \"v v v\"] [-j|--jobs N] [--run]
   cminc objdump <artifact-file>
-  cminc phase1 <src.cmin> [--summary <out.sum>] [--ir <out.ir>]
-  cminc phase2 <mod.ir> --db <prog.cdir> [--target vpr|rv32] -o <mod.obj>
   cminc explain <symbol> (--trace <trace.json> | <src.cmin>... [--config ...]) [--target vpr|rv32]
   cminc report <src.cmin>... --config-b L2|A|B|C|D|E|F|P [--config-a ...] [--input \"v v v\"] [--json <out.json>]
   cminc fuzz [--seed N] [--iters N | --time-budget SECS] [-j|--jobs N] [--corpus DIR] [--reduce-budget N] [--self-validate] [--metrics-out <m.json>]
@@ -101,11 +97,12 @@ const USAGE: &str = "usage:
 artifacts (`objdump` prints any of them):
   .csum  per-module summary     .cdir  analyzer directives   .vo  object code
   .vx    linked executable      .vlib  object+summary archive
-  paths without an artifact extension keep the legacy bare-JSON formats
+  inputs are recognized by their header, not their extension
 
 separate compilation:
   c              one module, both phases; --dir supplies the analyzer's
-                 directives (standard conventions without it)
+                 directives (standard conventions without it); the .csum
+                 lands beside the -o object unless --summary is given
   --cache-dir D  persist phase fingerprints under D: across separate cminc
                  invocations only modules whose source or directive slice
                  changed are recompiled (c, build)
@@ -117,7 +114,7 @@ build flags:
                  link/verify/run read the target from the artifacts themselves
   -j, --jobs N   worker threads for the per-module phases (default 1, 0 = all cores)
   --repeat N     build N times through one incremental cache (recompilation demo)
-  -o FILE        write the linked executable (artifact iff FILE ends in .vx)
+  -o FILE        write the linked executable as a .vx artifact
   --stats        per-phase wall-clock and cache hit/miss table (plus run stats with --run)
   --trace FILE   persist the analyzer's decision trace as JSON (also: analyze)
 
@@ -181,7 +178,6 @@ pub(crate) fn positionals(args: &[String]) -> Vec<String> {
             let takes_value = matches!(
                 a.as_str(),
                 "--summary"
-                    | "--ir"
                     | "--config"
                     | "--profile"
                     | "--db"
@@ -279,35 +275,6 @@ fn parse_input(args: &[String]) -> Result<Vec<i64>, String> {
     }
 }
 
-/// Frontend + optimizer for one file; returns the optimized IR and summary.
-fn front_one(path: &str) -> Result<(cmin_ir::IrModule, ModuleSummary), String> {
-    let text = read(path)?;
-    let name = module_name(path);
-    let module = cmin_frontend::parse_module(&name, &text).map_err(|e| e.to_string())?;
-    let info = cmin_frontend::analyze(&module).map_err(|e| e.to_string())?;
-    let mut ir = cmin_ir::lower_module(&module, &info);
-    cmin_ir::optimize_module(&mut ir);
-    let summary = summarize_module(&ir);
-    Ok((ir, summary))
-}
-
-fn phase1(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
-    let [src] = files.as_slice() else {
-        return Err("phase1 takes exactly one source file".into());
-    };
-    let (ir, summary) = front_one(src)?;
-    let stem = module_name(src);
-    let sum_path = flag_value(args, "--summary").unwrap_or(format!("{stem}.sum"));
-    let ir_path = flag_value(args, "--ir").unwrap_or(format!("{stem}.ir"));
-    let sum_json = serde_json::to_string_pretty(&summary).expect("serialize");
-    write(&sum_path, &sum_json)?;
-    let ir_json = serde_json::to_string(&ir).expect("serialize");
-    write(&ir_path, &ir_json)?;
-    eprintln!("phase1: {src} -> {sum_path}, {ir_path}");
-    Ok(())
-}
-
 fn analyze_cmd(args: &[String]) -> Result<(), String> {
     let sums = positionals(args);
     if sums.is_empty() {
@@ -371,25 +338,6 @@ fn analyze_cmd(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    Ok(())
-}
-
-fn phase2(args: &[String]) -> Result<(), String> {
-    let files = positionals(args);
-    let [ir_path] = files.as_slice() else {
-        return Err("phase2 takes exactly one .ir file".into());
-    };
-    let out = flag_value(args, "-o").ok_or("phase2 needs -o <mod.obj>")?;
-    let db = match flag_value(args, "--db") {
-        Some(p) => artifacts::load_database(&p)?,
-        None => ProgramDatabase::new(),
-    };
-    let target = parse_target(args)?;
-    let ir: cmin_ir::IrModule =
-        serde_json::from_str(&read(ir_path)?).map_err(|e| format!("{ir_path}: {e}"))?;
-    let object = cmin_codegen::compile_module_for(&ir, &db, target);
-    write(&out, &serde_json::to_string(&object).expect("serialize"))?;
-    eprintln!("phase2: {ir_path} -> {out} ({} procedures)", object.functions.len());
     Ok(())
 }
 
@@ -1071,21 +1019,10 @@ fn connect_daemon(socket: &str) -> Result<ipra_daemon::Client, String> {
     ipra_daemon::Client::connect(socket).map_err(|e| e.to_string())
 }
 
-/// Writes a build result (as `.vx` artifact text) to `-o`: raw artifact
-/// text for `.vx` paths — byte-identical to `cminc build -o` — and legacy
-/// bare JSON otherwise, matching `build`'s conventions.
+/// Writes a build result (`.vx` artifact text) to `-o`, when given: the
+/// bytes `cminc build -o` writes for the same program.
 fn write_vx_text(out: Option<&str>, vx: &str) -> Result<(), String> {
-    let Some(path) = out else { return Ok(()) };
-    if ipra_artifact::ArtifactKind::for_path(Path::new(path))
-        == Some(ipra_artifact::ArtifactKind::Executable)
-    {
-        write(path, vx)
-    } else {
-        let a: ipra_artifact::ExecutableArtifact =
-            ipra_artifact::decode(ipra_artifact::ArtifactKind::Executable, vx)
-                .map_err(|e| e.to_string())?;
-        write(path, &serde_json::to_string(&a.exe).expect("serialize"))
-    }
+    out.map_or(Ok(()), |path| write(path, vx))
 }
 
 fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), String> {

@@ -1,15 +1,16 @@
 //! End-to-end test of the `cminc` command-line driver: the full file-based
-//! Figure 1 pipeline — phase1 per module, analyze, phase2 per module, link,
-//! run — plus the profile round trip and the one-shot `build`.
+//! Figure 1 pipeline over artifacts — `c` per module, `analyze`, `c --dir`
+//! per module, `link`, `run` — plus the profile round trip and the
+//! one-shot `build`.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn cminc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cminc"))
 }
 
-fn write(dir: &std::path::Path, name: &str, text: &str) -> PathBuf {
+fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
     let p = dir.join(name);
     std::fs::write(&p, text).unwrap();
     p
@@ -38,63 +39,44 @@ int main() {
     return total;
 }";
 
+/// Runs `cminc` in `dir` and asserts it succeeded.
+fn ok(dir: &Path, args: &[&str]) -> Output {
+    let out = cminc().current_dir(dir).args(args).output().unwrap();
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    out
+}
+
+/// The Figure 1 pipeline over artifacts: `c` per module (phase 1, plus a
+/// standard-convention object), `analyze` over the summaries, `c --dir`
+/// per module (phase 2 under the directives), `link`.
+fn staged_build(dir: &Path, config: &str, db: &str) {
+    for src in ["counterlib.cmin", "app.cmin"] {
+        ok(dir, &["c", src]);
+    }
+    assert!(dir.join("counterlib.csum").exists());
+    assert!(dir.join("app.vo").exists());
+    ok(dir, &["analyze", "counterlib.csum", "app.csum", "--config", config, "-o", db]);
+    // Phase 2 on each module — deliberately in the opposite order, which
+    // the paper's design explicitly allows.
+    for stem in ["app", "counterlib"] {
+        ok(dir, &["c", &format!("{stem}.cmin"), "--dir", db]);
+    }
+    ok(dir, &["link", "counterlib.vo", "app.vo", "-o", "prog.vx"]);
+}
+
 #[test]
 fn file_based_pipeline_end_to_end() {
     let dir = tempdir("pipeline");
-    let lib = write(&dir, "counterlib.cmin", LIB_SRC);
-    let app = write(&dir, "app.cmin", MAIN_SRC);
-
-    // Phase 1 on each module.
-    for src in [&lib, &app] {
-        let out =
-            cminc().current_dir(&dir).args(["phase1", src.to_str().unwrap()]).output().unwrap();
-        assert!(out.status.success(), "phase1: {}", String::from_utf8_lossy(&out.stderr));
-    }
-    assert!(dir.join("counterlib.sum").exists());
-    assert!(dir.join("app.ir").exists());
-
-    // Analyzer over the summary files.
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["analyze", "counterlib.sum", "app.sum", "--config", "C", "-o", "program.db"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "analyze: {}", String::from_utf8_lossy(&out.stderr));
-    let db_text = std::fs::read_to_string(dir.join("program.db")).unwrap();
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    write(&dir, "app.cmin", MAIN_SRC);
+    staged_build(&dir, "C", "program.cdir");
+    let db_text = std::fs::read_to_string(dir.join("program.cdir")).unwrap();
     assert!(db_text.contains("add_in"));
 
-    // Phase 2 on each intermediate file — deliberately in the opposite
-    // order, which the paper's design explicitly allows.
-    for stem in ["app", "counterlib"] {
-        let out = cminc()
-            .current_dir(&dir)
-            .args([
-                "phase2",
-                &format!("{stem}.ir"),
-                "--db",
-                "program.db",
-                "-o",
-                &format!("{stem}.obj"),
-            ])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "phase2: {}", String::from_utf8_lossy(&out.stderr));
-    }
-
-    // Link and run.
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["link", "counterlib.obj", "app.obj", "-o", "prog.exe"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "link: {}", String::from_utf8_lossy(&out.stderr));
-
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["run", "prog.exe", "--input", "5 10 15", "--stats", "--profile-out", "prof.json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
+    let out = ok(
+        &dir,
+        &["run", "prog.vx", "--input", "5 10 15", "--stats", "--profile-out", "prof.json"],
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.trim().lines().collect::<Vec<_>>(), vec!["30", "3"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -104,23 +86,26 @@ fn file_based_pipeline_end_to_end() {
     let prof = std::fs::read_to_string(dir.join("prof.json")).unwrap();
     assert!(prof.contains("add_in"));
 
+    // Without `--summary`, the summary lands beside the object.
+    std::fs::create_dir_all(dir.join("out")).unwrap();
+    ok(&dir, &["c", "app.cmin", "-o", "out/app.vo"]);
+    assert!(dir.join("out/app.csum").exists());
+
     // Profile-fed analysis (config F) consumes it.
-    let out = cminc()
-        .current_dir(&dir)
-        .args([
+    ok(
+        &dir,
+        &[
             "analyze",
-            "counterlib.sum",
-            "app.sum",
+            "counterlib.csum",
+            "app.csum",
             "--config",
             "F",
             "--profile",
             "prof.json",
             "-o",
-            "program_f.db",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "analyze F: {}", String::from_utf8_lossy(&out.stderr));
+            "program_f.cdir",
+        ],
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -234,31 +219,10 @@ fn run_stats_json_dumps_exact_attribution() {
     let dir = tempdir("statsjson");
     write(&dir, "counterlib.cmin", LIB_SRC);
     write(&dir, "app.cmin", MAIN_SRC);
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["build", "counterlib.cmin", "app.cmin", "--config", "C"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    ok(&dir, &["build", "counterlib.cmin", "app.cmin", "--config", "C"]);
     // Rebuild through the file pipeline to get an exe on disk.
-    for src in ["counterlib.cmin", "app.cmin"] {
-        assert!(cminc().current_dir(&dir).args(["phase1", src]).output().unwrap().status.success());
-    }
-    for cmd in [
-        vec!["analyze", "counterlib.sum", "app.sum", "--config", "C", "-o", "p.db"],
-        vec!["phase2", "counterlib.ir", "--db", "p.db", "-o", "counterlib.obj"],
-        vec!["phase2", "app.ir", "--db", "p.db", "-o", "app.obj"],
-        vec!["link", "counterlib.obj", "app.obj", "-o", "prog.exe"],
-    ] {
-        let out = cminc().current_dir(&dir).args(&cmd).output().unwrap();
-        assert!(out.status.success(), "{cmd:?}: {}", String::from_utf8_lossy(&out.stderr));
-    }
-    let out = cminc()
-        .current_dir(&dir)
-        .args(["run", "prog.exe", "--input", "5 10 15", "--stats-json", "s.json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
+    staged_build(&dir, "C", "p.cdir");
+    ok(&dir, &["run", "prog.vx", "--input", "5 10 15", "--stats-json", "s.json"]);
     let dump = std::fs::read_to_string(dir.join("s.json")).unwrap();
     for key in ["funcs", "call_counts", "call_edges", "attribution", "inclusive_cycles", "add_in"] {
         assert!(dump.contains(key), "missing `{key}` in {dump}");
@@ -270,16 +234,21 @@ fn run_stats_json_dumps_exact_attribution() {
 fn errors_are_reported_with_nonzero_exit() {
     let dir = tempdir("errors");
     let bad = write(&dir, "bad.cmin", "int f( {");
-    let out = cminc().args(["phase1", bad.to_str().unwrap()]).output().unwrap();
+    let out = cminc().current_dir(&dir).args(["c", bad.to_str().unwrap()]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad"));
 
-    let out = cminc().args(["analyze", "-o", "x.db"]).output().unwrap();
+    let out = cminc().args(["analyze", "-o", "x.cdir"]).output().unwrap();
     assert!(!out.status.success());
 
-    let out = cminc().args(["frobnicate"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // The Figure-1 phases run through `c`; `phase1`/`phase2` are not commands.
+    for cmd in ["frobnicate", "phase1", "phase2"] {
+        let out = cminc().args([cmd]).output().unwrap();
+        assert!(!out.status.success(), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown command `{cmd}`")), "{stderr}");
+        assert!(stderr.contains("usage"), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -287,14 +256,57 @@ fn errors_are_reported_with_nonzero_exit() {
 fn config_b_requires_profile() {
     let dir = tempdir("needprof");
     write(&dir, "m.cmin", "int main() { return 0; }");
-    let out = cminc().current_dir(&dir).args(["phase1", "m.cmin"]).output().unwrap();
-    assert!(out.status.success());
+    ok(&dir, &["c", "m.cmin"]);
     let out = cminc()
         .current_dir(&dir)
-        .args(["analyze", "m.sum", "--config", "B", "-o", "x.db"])
+        .args(["analyze", "m.csum", "--config", "B", "-o", "x.cdir"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--profile"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every input is an artifact, recognized by its header: the bare JSON
+/// body of one (the pre-artifact file format) is rejected with an error
+/// naming the file, and an artifact's name never changes its bytes.
+#[test]
+fn inputs_are_artifacts_judged_by_header() {
+    let dir = tempdir("formats");
+    write(&dir, "counterlib.cmin", LIB_SRC);
+    write(&dir, "app.cmin", MAIN_SRC);
+    staged_build(&dir, "C", "program.cdir");
+
+    // Strip the header line, leaving the bare JSON payload.
+    let strip = |from: &str, to: &str| {
+        let text = std::fs::read_to_string(dir.join(from)).unwrap();
+        let (_, body) = text.split_once('\n').unwrap();
+        std::fs::write(dir.join(to), body).unwrap();
+    };
+    strip("app.csum", "app.sum");
+    strip("app.vo", "app.obj");
+    strip("prog.vx", "prog.json");
+    for (args, path) in [
+        (vec!["analyze", "counterlib.csum", "app.sum", "-o", "x.cdir"], "app.sum"),
+        (vec!["link", "counterlib.vo", "app.obj", "-o", "x.vx"], "app.obj"),
+        (vec!["run", "prog.json"], "prog.json"),
+    ] {
+        let out = cminc().current_dir(&dir).args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} accepted bare JSON");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{path}: not an artifact")), "{args:?}: {stderr}");
+    }
+
+    // `-o` writes the same artifact whatever the name, and it runs.
+    for out in ["prog.exe", "prog.vx"] {
+        ok(&dir, &["build", "counterlib.cmin", "app.cmin", "--config", "C", "-o", out]);
+    }
+    let exe = std::fs::read(dir.join("prog.exe")).unwrap();
+    assert_eq!(exe, std::fs::read(dir.join("prog.vx")).unwrap());
+    let out = ok(&dir, &["run", "prog.exe", "--input", "5 10 15"]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).trim().lines().collect::<Vec<_>>(),
+        ["30", "3"]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,7 +20,6 @@
 use cmin_ir::cfg::{depth_weight, loop_depths, Cfg};
 use cmin_ir::ir::{Callee, Function, Inst, Temp};
 use cmin_ir::liveness::{live_across_calls, Liveness, TempSet};
-use ipra_core::caller_prealloc::claim_pool_set;
 use ipra_core::regsets::RegUsage;
 use std::collections::HashMap;
 use vpr::regs::{Reg, RegSet};
@@ -38,12 +37,8 @@ pub struct CallerPrealloc<'a> {
 }
 
 impl CallerPrealloc<'_> {
-    /// The extension-off contract: full claim, nothing safe across calls.
-    pub fn standard() -> CallerPrealloc<'static> {
-        CallerPrealloc { claimed: claim_pool_set(), safe_lookup: &|_| RegSet::new() }
-    }
-
-    /// [`CallerPrealloc::standard`] for an explicit target description.
+    /// The extension-off contract of `desc`: full claim, nothing safe
+    /// across calls.
     pub fn standard_for(desc: &TargetDesc) -> CallerPrealloc<'static> {
         CallerPrealloc { claimed: desc.claim_pool_set(), safe_lookup: &|_| RegSet::new() }
     }
@@ -119,11 +114,6 @@ impl Allocation {
     }
 }
 
-/// Registers reserved for the emitter's operand materialization (VPR).
-pub fn scratch_regs() -> (Reg, Reg) {
-    scratch_regs_for(&vpr::target::VPR)
-}
-
 /// Registers `desc` reserves for the emitter's operand materialization.
 pub fn scratch_regs_for(desc: &TargetDesc) -> (Reg, Reg) {
     (desc.scratch1, desc.scratch2)
@@ -134,32 +124,12 @@ pub fn scratch_regs_for(desc: &TargetDesc) -> (Reg, Reg) {
 /// procedure (they hold the global, nothing else); `pins` maps the web
 /// temps produced by [`crate::promote::rewrite_promotions`] to those
 /// registers.
-pub fn allocate(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-) -> Allocation {
-    allocate_with(f, usage, forbidden, pins, &CallerPrealloc::standard())
-}
-
-/// [`allocate`] with the §7.6.2 caller-saves preallocation contract: the
+///
+/// `prealloc` is the §7.6.2 caller-saves preallocation contract: the
 /// procedure's caller-saves scratch stays within `prealloc.claimed`, and
 /// call-crossing values may additionally live in claimed registers that
-/// every crossed call leaves safe.
-pub fn allocate_with(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-    prealloc: &CallerPrealloc<'_>,
-) -> Allocation {
-    allocate_for(f, usage, forbidden, pins, prealloc, &vpr::target::VPR)
-}
-
-/// [`allocate_with`] against an explicit target description: scratch
-/// registers, the argument/return roles and the claim pool all come from
-/// `desc` instead of the VPR convention.
+/// every crossed call leaves safe. Scratch registers, the argument/return
+/// roles and the claim pool all come from `desc`.
 pub fn allocate_for(
     f: &Function,
     usage: &RegUsage,
@@ -304,31 +274,9 @@ pub fn allocate_for(
 }
 
 /// Sanity check used by tests and debug builds: no two interfering temps
-/// share a register, call-crossing temps avoid caller-class registers, and
-/// nothing lands in a forbidden register.
-pub fn validate(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-    alloc: &Allocation,
-) -> Result<(), String> {
-    validate_with(f, usage, forbidden, pins, alloc, &CallerPrealloc::standard())
-}
-
-/// [`validate`] under a caller-saves preallocation contract.
-pub fn validate_with(
-    f: &Function,
-    usage: &RegUsage,
-    forbidden: RegSet,
-    pins: &HashMap<Temp, Reg>,
-    alloc: &Allocation,
-    prealloc: &CallerPrealloc<'_>,
-) -> Result<(), String> {
-    validate_for(f, usage, forbidden, pins, alloc, prealloc, &vpr::target::VPR)
-}
-
-/// [`validate_with`] against an explicit target description.
+/// share a register, call-crossing temps avoid caller-class registers
+/// (under the `prealloc` contract and `desc`'s convention), and nothing
+/// lands in a forbidden register.
 pub fn validate_for(
     f: &Function,
     usage: &RegUsage,
@@ -404,6 +352,7 @@ mod tests {
     use super::*;
     use cmin_frontend::{analyze as sema, parse_module};
     use cmin_ir::{lower_module, optimize_module};
+    use vpr::target::VPR;
 
     fn func(src: &str, name: &str) -> Function {
         let m = parse_module("m", src).unwrap();
@@ -413,11 +362,18 @@ mod tests {
         ir.function(name).unwrap().clone()
     }
 
-    fn alloc_std(f: &Function) -> Allocation {
+    /// Allocates `f` for VPR with the extension-off contract and checks the
+    /// result.
+    fn alloc_checked(f: &Function, usage: &RegUsage, forbidden: RegSet) -> Allocation {
         let pins = HashMap::new();
-        let a = allocate(f, &RegUsage::standard(), RegSet::new(), &pins);
-        validate(f, &RegUsage::standard(), RegSet::new(), &pins, &a).unwrap();
+        let prealloc = CallerPrealloc::standard_for(&VPR);
+        let a = allocate_for(f, usage, forbidden, &pins, &prealloc, &VPR);
+        validate_for(f, usage, forbidden, &pins, &a, &prealloc, &VPR).unwrap();
         a
+    }
+
+    fn alloc_std(f: &Function) -> Allocation {
+        alloc_checked(f, &RegUsage::standard_for(&VPR), RegSet::new())
     }
 
     #[test]
@@ -459,14 +415,12 @@ mod tests {
             "f",
         );
         // Analyzer gave this node two FREE registers.
-        let mut usage = RegUsage::standard();
+        let mut usage = RegUsage::standard_for(&VPR);
         usage.free.insert(Reg::new(5));
         usage.free.insert(Reg::new(6));
         usage.callee.remove(Reg::new(5));
         usage.callee.remove(Reg::new(6));
-        let pins = HashMap::new();
-        let a = allocate(&f, &usage, RegSet::new(), &pins);
-        validate(&f, &usage, RegSet::new(), &pins, &a).unwrap();
+        let a = alloc_checked(&f, &usage, RegSet::new());
         // Crossing values should use the FREE registers and incur no
         // save/restore.
         assert!(a.used_callee.is_empty(), "{:?}", a.used_callee);
@@ -485,9 +439,7 @@ mod tests {
         for r in RegSet::caller_saves().iter().skip(1) {
             forbidden.insert(r);
         }
-        let pins = HashMap::new();
-        let a = allocate(&f, &RegUsage::standard(), forbidden, &pins);
-        validate(&f, &RegUsage::standard(), forbidden, &pins, &a).unwrap();
+        alloc_checked(&f, &RegUsage::standard_for(&VPR), forbidden);
     }
 
     #[test]
@@ -529,7 +481,7 @@ mod tests {
     fn scratch_registers_never_allocated() {
         let f = func("int f(int a, int b, int c) { return a + b * c; }", "f");
         let a = alloc_std(&f);
-        let (s1, s2) = scratch_regs();
+        let (s1, s2) = scratch_regs_for(&VPR);
         for loc in a.locs.values() {
             if let Loc::Reg(r) = loc {
                 assert_ne!(*r, s1);

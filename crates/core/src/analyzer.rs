@@ -325,27 +325,17 @@ fn analyze_impl(
     let mut prio_opt: Option<Prioritization> = None;
     let (webs, coloring): (Vec<Web>, Coloring) = match opts.promotion {
         PromotionMode::Off => (Vec::new(), Coloring::default()),
-        PromotionMode::Coloring { registers } => {
+        PromotionMode::Coloring { .. } | PromotionMode::Greedy => {
+            let strategy = match opts.promotion {
+                PromotionMode::Coloring { registers } => {
+                    ColoringStrategy::Reserved { count: registers }
+                }
+                _ => ColoringStrategy::Greedy,
+            };
             let (webs, wstats) = identify_webs(&graph, &elig, &refs);
             let prio = prioritize(&webs, &graph, &elig, &opts.discard);
             record_web_stats(&mut stats, &wstats, &prio);
-            let coloring = color_webs_for(
-                &webs,
-                &prio,
-                ColoringStrategy::Reserved { count: registers },
-                &graph,
-                desc,
-            );
-            stats.webs_colored = coloring.colored;
-            wstats_opt = Some(wstats);
-            prio_opt = Some(prio);
-            (webs, coloring)
-        }
-        PromotionMode::Greedy => {
-            let (webs, wstats) = identify_webs(&graph, &elig, &refs);
-            let prio = prioritize(&webs, &graph, &elig, &opts.discard);
-            record_web_stats(&mut stats, &wstats, &prio);
-            let coloring = color_webs_for(&webs, &prio, ColoringStrategy::Greedy, &graph, desc);
+            let coloring = color_webs_for(&webs, &prio, strategy, &graph, desc);
             stats.webs_colored = coloring.colored;
             wstats_opt = Some(wstats);
             prio_opt = Some(prio);
@@ -655,6 +645,7 @@ mod tests {
     use super::*;
     use crate::dataflow::testutil::{figure3, summary};
     use vpr::regs::Reg;
+    use vpr::target::TargetId;
 
     #[test]
     fn figure3_full_analysis_matches_table2() {
@@ -667,21 +658,21 @@ mod tests {
 
         let db = &analysis.database;
         // B is an entry of g1's web (Table 2 commentary).
-        let b = db.lookup("B");
+        let b = db.lookup_for("B", TargetId::Vpr);
         let g1 = b.promotions.iter().find(|p| p.sym == "g1").unwrap();
         assert!(g1.is_entry);
         assert!(g1.store_at_exit);
         // D holds g1 in the same register, not as an entry.
-        let d = db.lookup("D");
+        let d = db.lookup_for("D", TargetId::Vpr);
         let g1d = d.promotions.iter().find(|p| p.sym == "g1").unwrap();
         assert_eq!(g1d.reg, g1.reg);
         assert!(!g1d.is_entry);
         // C carries both g3 and g2 in different registers.
-        let c = db.lookup("C");
+        let c = db.lookup_for("C", TargetId::Vpr);
         assert_eq!(c.promotions.len(), 2);
         assert_ne!(c.promotions[0].reg, c.promotions[1].reg);
         // H has no promotions.
-        assert!(db.lookup("H").promotions.is_empty());
+        assert!(db.lookup_for("H", TargetId::Vpr).promotions.is_empty());
         // Web registers are excluded from the node's usage sets.
         for p in &c.promotions {
             assert!(!c.usage.callee.contains(p.reg));
@@ -697,7 +688,7 @@ mod tests {
         for d in analysis.database.iter() {
             assert!(d.promotions.is_empty());
             assert!(!d.is_cluster_root);
-            assert_eq!(d.usage, crate::regsets::RegUsage::standard());
+            assert_eq!(d.usage, crate::regsets::RegUsage::standard_for(&vpr::target::VPR));
         }
         assert_eq!(analysis.stats.webs_total, 0);
         assert_eq!(analysis.stats.clusters, 0);
@@ -717,10 +708,10 @@ mod tests {
         let analysis = analyze(&s, &AnalyzerOptions::paper_config(PaperConfig::A, None));
         assert_eq!(analysis.stats.webs_total, 0);
         assert!(analysis.stats.clusters >= 1);
-        let r = analysis.database.lookup("r");
+        let r = analysis.database.lookup_for("r", TargetId::Vpr);
         assert!(r.is_cluster_root);
         assert!(!r.usage.mspill.is_empty());
-        let s_ = analysis.database.lookup("s");
+        let s_ = analysis.database.lookup_for("s", TargetId::Vpr);
         assert!(!s_.usage.free.is_empty());
         assert!(s_.promotions.is_empty());
     }
@@ -732,7 +723,7 @@ mod tests {
         assert_eq!(analysis.stats.webs_colored, 3); // g1, g2, g3
                                                     // Every defined node carries all three promotions.
         for name in ["A", "B", "C", "D", "E", "F", "G", "H"] {
-            let d = analysis.database.lookup(name);
+            let d = analysis.database.lookup_for(name, TargetId::Vpr);
             assert_eq!(d.promotions.len(), 3, "{name}: {:?}", d.promotions);
             // Only the start node A is an entry.
             for p in &d.promotions {
@@ -740,7 +731,7 @@ mod tests {
             }
         }
         // Three distinct registers.
-        let a = analysis.database.lookup("A");
+        let a = analysis.database.lookup_for("A", TargetId::Vpr);
         let regs: std::collections::HashSet<Reg> = a.promotions.iter().map(|p| p.reg).collect();
         assert_eq!(regs.len(), 3);
     }
@@ -756,8 +747,8 @@ mod tests {
         let s = figure3();
         let on =
             |target| analyze(&s, &AnalyzerOptions::paper_config_for(PaperConfig::C, None, target));
-        let v = on(vpr::target::TargetId::Vpr);
-        let r = on(vpr::target::TargetId::Rv32);
+        let v = on(TargetId::Vpr);
+        let r = on(TargetId::Rv32);
 
         // Same web/cluster structure in the aggregate...
         assert_eq!(v.stats.webs_total, r.stats.webs_total);
@@ -783,7 +774,7 @@ mod tests {
 
         // Per-procedure: identical promotion and cluster structure.
         for d in v.database.iter() {
-            let other = r.database.lookup(&d.name);
+            let other = r.database.lookup_for(&d.name, TargetId::Rv32);
             assert_eq!(d.is_cluster_root, other.is_cluster_root, "{}", d.name);
             let shape = |p: &crate::database::ProcDirectives| {
                 p.promotions

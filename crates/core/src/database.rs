@@ -13,6 +13,7 @@ use crate::regsets::RegUsage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vpr::regs::Reg;
+use vpr::target::TargetId;
 
 /// One promoted global in one procedure.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,19 +53,14 @@ pub struct ProcDirectives {
 }
 
 fn full_claim() -> vpr::regs::RegSet {
-    crate::caller_prealloc::claim_pool_set()
+    vpr::target::VPR.claim_pool_set()
 }
 
 impl ProcDirectives {
-    /// Directives equivalent to the standard linkage convention (what a
-    /// procedure gets when interprocedural allocation is off or the
-    /// database has no entry for it). VPR convention.
-    pub fn standard(name: impl Into<String>) -> ProcDirectives {
-        ProcDirectives::standard_for(name, vpr::target::TargetId::Vpr)
-    }
-
-    /// The standard-convention directives of `target`.
-    pub fn standard_for(name: impl Into<String>, target: vpr::target::TargetId) -> ProcDirectives {
+    /// Directives equivalent to `target`'s standard linkage convention
+    /// (what a procedure gets when interprocedural allocation is off or the
+    /// database has no entry for it).
+    pub fn standard_for(name: impl Into<String>, target: TargetId) -> ProcDirectives {
         let desc = target.desc();
         ProcDirectives {
             name: name.into(),
@@ -100,15 +96,9 @@ impl ProgramDatabase {
         self.entries.get(name)
     }
 
-    /// The directives for `name`, falling back to the standard convention
-    /// (VPR).
-    pub fn lookup(&self, name: &str) -> ProcDirectives {
-        self.lookup_for(name, vpr::target::TargetId::Vpr)
-    }
-
     /// The directives for `name`, falling back to `target`'s standard
     /// convention for procedures the analyzer never saw.
-    pub fn lookup_for(&self, name: &str, target: vpr::target::TargetId) -> ProcDirectives {
+    pub fn lookup_for(&self, name: &str, target: TargetId) -> ProcDirectives {
         self.entries
             .get(name)
             .cloned()
@@ -132,11 +122,13 @@ impl ProgramDatabase {
 
     /// Stable fingerprint of one procedure's directives, as the compiler
     /// second phase would see them: absent entries hash as the standard
-    /// linkage convention, so adding an explicit `standard()` entry does
-    /// not change the fingerprint-visible contract.
+    /// linkage convention, so adding an explicit standard entry does not
+    /// change the fingerprint-visible contract. Absent entries always hash
+    /// as VPR's convention: callers that key on the target mix it in
+    /// themselves, and `.vo` artifacts record these exact values.
     pub fn proc_fingerprint(&self, name: &str) -> u64 {
         let mut h = Fnv64::new();
-        hash_directives(&mut h, &self.lookup(name));
+        hash_directives(&mut h, &self.lookup_for(name, TargetId::Vpr));
         h.finish()
     }
 
@@ -170,7 +162,8 @@ impl ProgramDatabase {
         h.write_u64(defined.len() as u64);
         for name in defined {
             h.write_str(name);
-            hash_directives(&mut h, &self.lookup(name));
+            // VPR's convention for absent entries, as in `proc_fingerprint`.
+            hash_directives(&mut h, &self.lookup_for(name, TargetId::Vpr));
         }
         h.write_u64(callees.len() as u64);
         for name in callees {
@@ -181,20 +174,6 @@ impl ProgramDatabase {
             h.write_str(&safe.to_string());
         }
         h.finish()
-    }
-
-    /// Serializes the database (the paper's on-disk program database).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("database serialization cannot fail")
-    }
-
-    /// Reads a database back.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying JSON error for malformed input.
-    pub fn from_json(s: &str) -> Result<ProgramDatabase, serde_json::Error> {
-        serde_json::from_str(s)
     }
 }
 
@@ -213,7 +192,7 @@ mod tests {
     #[test]
     fn lookup_falls_back_to_standard() {
         let db = ProgramDatabase::new();
-        let d = db.lookup("anything");
+        let d = db.lookup_for("anything", TargetId::Vpr);
         assert_eq!(d.usage.callee, RegSet::callee_saves());
         assert_eq!(d.usage.caller, RegSet::caller_saves());
         assert!(d.usage.free.is_empty() && d.usage.mspill.is_empty());
@@ -225,7 +204,7 @@ mod tests {
     #[test]
     fn insert_and_query() {
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("f");
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
         d.promotions.push(Promotion {
             sym: "g".into(),
             reg: Reg::new(3),
@@ -236,20 +215,21 @@ mod tests {
         db.insert(d.clone());
         assert_eq!(db.len(), 1);
         assert_eq!(db.get("f"), Some(&d));
-        assert_eq!(db.lookup("f"), d);
+        assert_eq!(db.lookup_for("f", TargetId::Vpr), d);
     }
 
     #[test]
     fn json_round_trip() {
         let mut db = ProgramDatabase::new();
-        let mut d = ProcDirectives::standard("f");
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
         d.usage.free.insert(Reg::new(5));
         d.usage.mspill.insert(Reg::new(6));
         db.insert(d);
-        db.insert(ProcDirectives::standard("g"));
-        let back = ProgramDatabase::from_json(&db.to_json()).unwrap();
+        db.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
+        let back: ProgramDatabase =
+            serde_json::from_str(&serde_json::to_string(&db).unwrap()).unwrap();
         assert_eq!(db, back);
-        assert!(ProgramDatabase::from_json("nope").is_err());
+        assert!(serde_json::from_str::<ProgramDatabase>("nope").is_err());
     }
 
     #[test]
@@ -257,10 +237,10 @@ mod tests {
         let mut db = ProgramDatabase::new();
         let base = db.proc_fingerprint("f");
         // An explicit standard entry is indistinguishable from no entry.
-        db.insert(ProcDirectives::standard("f"));
+        db.insert(ProcDirectives::standard_for("f", TargetId::Vpr));
         assert_eq!(db.proc_fingerprint("f"), base);
         // Any directive change moves the fingerprint.
-        let mut d = ProcDirectives::standard("f");
+        let mut d = ProcDirectives::standard_for("f", TargetId::Vpr);
         d.usage.free.insert(Reg::new(5));
         db.insert(d);
         assert_ne!(db.proc_fingerprint("f"), base);
@@ -269,20 +249,20 @@ mod tests {
     #[test]
     fn slice_fingerprint_sees_only_the_relevant_slice() {
         let mut db = ProgramDatabase::new();
-        let mut f = ProcDirectives::standard("f");
+        let mut f = ProcDirectives::standard_for("f", TargetId::Vpr);
         f.is_cluster_root = true;
         db.insert(f);
-        db.insert(ProcDirectives::standard("g"));
+        db.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
         let before = db.module_slice_fingerprint(["f"], ["g"]);
 
         // A change to an unrelated procedure leaves the slice unchanged.
-        let mut far = ProcDirectives::standard("far");
+        let mut far = ProcDirectives::standard_for("far", TargetId::Vpr);
         far.usage.mspill.insert(Reg::new(4));
         db.insert(far);
         assert_eq!(db.module_slice_fingerprint(["f"], ["g"]), before);
 
         // A change to a defined procedure's directives moves it.
-        let mut f2 = db.lookup("f");
+        let mut f2 = db.lookup_for("f", TargetId::Vpr);
         f2.promotions.push(Promotion {
             sym: "glob".into(),
             reg: Reg::new(3),
@@ -294,11 +274,11 @@ mod tests {
         assert_ne!(after_def, before);
 
         // A callee change is only visible through its safe set.
-        let mut g = db.lookup("g");
+        let mut g = db.lookup_for("g", TargetId::Vpr);
         g.is_cluster_root = true; // codegen of callers never reads this
         db.insert(g);
         assert_eq!(db.module_slice_fingerprint(["f"], ["g"]), after_def);
-        let mut g2 = db.lookup("g");
+        let mut g2 = db.lookup_for("g", TargetId::Vpr);
         g2.safe_caller_across.insert(Reg::new(20));
         db.insert(g2);
         assert_ne!(db.module_slice_fingerprint(["f"], ["g"]), after_def);
@@ -311,7 +291,7 @@ mod tests {
     #[test]
     fn fingerprints_are_stable_across_serialization_and_construction() {
         let mut db = ProgramDatabase::new();
-        let mut f = ProcDirectives::standard("f");
+        let mut f = ProcDirectives::standard_for("f", TargetId::Vpr);
         f.usage.free.insert(Reg::new(5));
         f.promotions.push(Promotion {
             sym: "g".into(),
@@ -320,12 +300,13 @@ mod tests {
             store_at_exit: true,
         });
         db.insert(f.clone());
-        db.insert(ProcDirectives::standard("g"));
+        db.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
 
         let mut db2 = ProgramDatabase::new();
-        db2.insert(ProcDirectives::standard("g"));
+        db2.insert(ProcDirectives::standard_for("g", TargetId::Vpr));
         db2.insert(f);
-        let db3 = ProgramDatabase::from_json(&db.to_json()).unwrap();
+        let db3: ProgramDatabase =
+            serde_json::from_str(&serde_json::to_string(&db).unwrap()).unwrap();
 
         for other in [&db2, &db3] {
             assert_eq!(db.proc_fingerprint("f"), other.proc_fingerprint("f"));
@@ -340,8 +321,8 @@ mod tests {
     #[test]
     fn slice_fingerprint_is_order_insensitive() {
         let mut db = ProgramDatabase::new();
-        db.insert(ProcDirectives::standard("a"));
-        db.insert(ProcDirectives::standard("b"));
+        db.insert(ProcDirectives::standard_for("a", TargetId::Vpr));
+        db.insert(ProcDirectives::standard_for("b", TargetId::Vpr));
         assert_eq!(
             db.module_slice_fingerprint(["a", "b"], ["c", "d", "c"]),
             db.module_slice_fingerprint(["b", "a", "a"], ["d", "c"])
@@ -356,8 +337,8 @@ mod tests {
     #[test]
     fn iteration_is_name_ordered() {
         let mut db = ProgramDatabase::new();
-        db.insert(ProcDirectives::standard("zeta"));
-        db.insert(ProcDirectives::standard("alpha"));
+        db.insert(ProcDirectives::standard_for("zeta", TargetId::Vpr));
+        db.insert(ProcDirectives::standard_for("alpha", TargetId::Vpr));
         let names: Vec<&str> = db.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }

@@ -921,8 +921,15 @@ mod tests {
         let sources = two_module_program();
         let dir = tmpdir("separate");
         let mut cache = CompilationCache::new();
-        let staged =
-            separate::artifact_build(&sources, PaperConfig::C, None, &dir, &mut cache).unwrap();
+        let staged = separate::artifact_build_for(
+            &sources,
+            PaperConfig::C,
+            None,
+            &dir,
+            &mut cache,
+            vpr::target::TargetId::Vpr,
+        )
+        .unwrap();
         let in_memory = compile(&sources, &CompileOptions::paper(PaperConfig::C)).unwrap();
         assert_eq!(staged.exe, in_memory.exe);
         assert_eq!(staged.database, in_memory.database);

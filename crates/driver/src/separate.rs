@@ -10,10 +10,10 @@
 //! <module>.csum --analyze--> program.cdir --phase 2--> <module>.vo --link--> prog.vx
 //! ```
 //!
-//! [`artifact_build`] runs the whole staged pipeline into a directory and
-//! is required (and tested, see `tests/artifacts.rs`) to be *bit-identical*
-//! to the in-memory path: same `.vx` bytes, same simulator statistics.
-//! [`build_module`] is the `cminc c` core — one module's phase 1 + phase 2
+//! [`artifact_build_for`] runs the whole staged pipeline into a directory
+//! and is required (and tested, see `tests/artifacts.rs`) to be
+//! *bit-identical* to the in-memory path: same `.vx` bytes, same simulator
+//! statistics. [`build_module_for`] is the `cminc c` core — one module's phase 1 + phase 2
 //! against a given directives database, through the shared
 //! [`CompilationCache`] (and its on-disk tier, when attached).
 
@@ -46,28 +46,15 @@ pub struct ModuleProduct {
     pub phase2_hit: bool,
 }
 
-/// Compiles one module through both phases against `database`, using (and
-/// filling) `cache` exactly like [`crate::compile_incremental`] does.
+/// Compiles one module through both phases for `target` against
+/// `database`, using (and filling) `cache` exactly like
+/// [`crate::compile_incremental`] does.
 ///
 /// This is the core of `cminc c`: with `--cache-dir` attached, a second
 /// invocation in a *fresh process* is a pure cache hit unless the source
-/// or this module's directive slice changed.
-///
-/// # Errors
-///
-/// Returns the module's first frontend diagnostic.
-pub fn build_module(
-    src: &SourceFile,
-    database: &ProgramDatabase,
-    optimize: bool,
-    cache: &mut CompilationCache,
-) -> Result<ModuleProduct, CompileError> {
-    build_module_for(src, database, optimize, cache, TargetId::Vpr)
-}
-
-/// [`build_module`] against an explicit machine description. The target
-/// participates in the phase-2 cache key, so VPR and RV32 builds of the
-/// same module coexist in one cache directory.
+/// or this module's directive slice changed. The target participates in
+/// the phase-2 cache key, so VPR and RV32 builds of the same module
+/// coexist in one cache directory.
 ///
 /// # Errors
 ///
@@ -177,28 +164,12 @@ fn count_artifact_read(tele: Option<&Telemetry>, path: &Path) {
     }
 }
 
-/// Runs the four-stage separate-compilation pipeline into `dir`, staging
-/// every intermediate product through its on-disk artifact format (each
-/// stage re-reads its inputs from the files the previous stage wrote).
-///
-/// # Errors
-///
-/// Frontend diagnostics, link failures, and artifact I/O all surface as
-/// [`DriverError`].
-pub fn artifact_build(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    profile: Option<ProfileData>,
-    dir: &Path,
-    cache: &mut CompilationCache,
-) -> Result<ArtifactBuild, DriverError> {
-    artifact_build_for(sources, config, profile, dir, cache, TargetId::Vpr)
-}
-
-/// [`artifact_build`] against an explicit machine description: the
-/// analyzer draws directive registers from it, phase 2 compiles for it,
-/// and the linked executable records it (so the simulators pick the right
-/// convention on re-read).
+/// Runs the four-stage separate-compilation pipeline for `target` into
+/// `dir`, staging every intermediate product through its on-disk artifact
+/// format (each stage re-reads its inputs from the files the previous
+/// stage wrote). The analyzer draws directive registers from `target`,
+/// phase 2 compiles for it, and the linked executable records it (so the
+/// simulators pick the right convention on re-read).
 ///
 /// # Errors
 ///
@@ -316,28 +287,12 @@ pub fn artifact_build_for(
     })
 }
 
-/// [`artifact_build`] under any paper configuration, running the
+/// [`artifact_build_for`] under any paper configuration, running the
 /// profile-feedback loop first when the configuration wants one. The
-/// training baseline is itself a staged build, into `dir/training`.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation/artifact problems; a
-/// training-run trap surfaces as the `Err` of the inner result.
-pub fn artifact_build_configured(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-    dir: &Path,
-    cache: &mut CompilationCache,
-) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
-    artifact_build_configured_for(sources, config, training_input, dir, cache, TargetId::Vpr)
-}
-
-/// [`artifact_build_configured`] against an explicit machine description.
-/// The training baseline runs on the same target as the final build: the
-/// profile weights it collects are counts over source-level events, so
-/// they feed the analyzer identically on either convention.
+/// training baseline is itself a staged build, into `dir/training`, on the
+/// same target as the final build: the profile weights it collects are
+/// counts over source-level events, so they feed the analyzer identically
+/// on either convention.
 ///
 /// # Errors
 ///

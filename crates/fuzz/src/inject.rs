@@ -166,9 +166,9 @@ fn inject_promotion_clobber(program: &mut CompiledProgram) -> Option<Injection> 
     // Drop the promotion from the victim's directives, as if its module
     // were rebuilt against an older database. This alone must stay clean;
     // a site where it doesn't is not the hazard we're modeling.
-    let mut stale = program.database.lookup(&victim);
+    let original = program.database.get(&victim)?.clone();
+    let mut stale = original.clone();
     stale.promotions.retain(|q| q.sym != sym);
-    let original = program.database.lookup(&victim);
     program.database.insert(stale);
     if !verify_modules(&program.objects, &program.database).is_clean() {
         program.database.insert(original);

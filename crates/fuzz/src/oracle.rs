@@ -543,12 +543,13 @@ fn check_separate(sources: &[SourceFile]) -> Result<(), Failure> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut cache = CompilationCache::new();
-    let staged = match ipra_driver::separate::artifact_build_configured(
+    let staged = match ipra_driver::separate::artifact_build_configured_for(
         sources,
         config,
         &[],
         &dir,
         &mut cache,
+        vpr::target::TargetId::Vpr,
     ) {
         Err(e) => {
             return Err(Failure::SeparateDivergence {
@@ -687,7 +688,8 @@ pub fn dump_divergence(sources: &[SourceFile], config: PaperConfig, label: &str)
             continue;
         };
         if cfg == config {
-            let _ = std::fs::write(dir.join("database.json"), program.database.to_json());
+            let db = serde_json::to_string_pretty(&program.database).unwrap_or_default();
+            let _ = std::fs::write(dir.join("database.json"), db);
             if let Some(t) = &program.trace {
                 let _ = std::fs::write(dir.join("trace.json"), t.to_json());
             }

@@ -25,11 +25,6 @@ pub(crate) fn regset_names(set: RegSet, desc: &TargetDesc) -> String {
     format!("{{{}}}", names.join(", "))
 }
 
-/// [`render_event_for`] under the default (VPR) machine description.
-pub fn render_event(e: &TraceEvent) -> String {
-    render_event_for(e, &vpr::target::VPR)
-}
-
 /// Renders one trace event as a single human-readable line, naming
 /// registers in `desc`'s ABI convention.
 pub fn render_event_for(e: &TraceEvent, desc: &TargetDesc) -> String {
@@ -107,11 +102,6 @@ pub fn render_event_for(e: &TraceEvent, desc: &TargetDesc) -> String {
     }
 }
 
-/// [`explain_for`] under the default (VPR) machine description.
-pub fn explain(trace: &AnalyzerTrace, symbol: &str) -> String {
-    explain_for(trace, symbol, &vpr::target::VPR)
-}
-
 /// Renders the causal chain for one symbol (a global or a procedure) from a
 /// decision trace, one event per line in emission order, naming registers
 /// in `desc`'s ABI convention.
@@ -150,12 +140,12 @@ mod tests {
             priority: 1232,
         });
         t.push(TraceEvent::ClusterFormed { root: "main".into(), members: vec!["f".into()] });
-        let text = explain(&t, "f");
+        let text = explain_for(&t, "f", &vpr::target::VPR);
         assert!(text.contains("web #3"), "{text}");
         // r12 is s9 in the VPR ABI naming; raw r<N> indices never appear.
         assert!(text.contains("promoted to s9"), "{text}");
         assert!(text.contains("cluster rooted at `main`"), "{text}");
-        assert!(explain(&t, "zzz").contains("no analyzer decisions"));
+        assert!(explain_for(&t, "zzz", &vpr::target::VPR).contains("no analyzer decisions"));
     }
 
     #[test]

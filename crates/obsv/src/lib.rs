@@ -5,7 +5,7 @@
 //! This crate turns the pipeline's raw observability data into those causal
 //! statements:
 //!
-//! * [`explain`] renders the analyzer [decision
+//! * [`explain_for`] renders the analyzer [decision
 //!   trace](ipra_core::trace::AnalyzerTrace) for one symbol — the chain of
 //!   web/cluster/claim decisions that touched a global or procedure,
 //! * [`DiffReport`] joins per-procedure [dynamic
@@ -22,5 +22,5 @@
 mod explain;
 mod report;
 
-pub use explain::{explain, explain_for, render_event, render_event_for};
+pub use explain::{explain_for, render_event_for};
 pub use report::{DiffReport, ProcDelta, Totals};

@@ -1,7 +1,7 @@
 //! Explainable diff reports: per-procedure dynamic cost deltas between two
 //! configurations, joined with the analyzer decisions that caused them.
 
-use crate::explain::{regset_names, render_event};
+use crate::explain::{regset_names, render_event_for};
 use ipra_core::database::{ProcDirectives, ProgramDatabase};
 use ipra_core::trace::AnalyzerTrace;
 use serde::{Deserialize, Serialize};
@@ -151,7 +151,9 @@ impl DiffReport {
                 if let Some(d) = db_b.get(name) {
                     reasons.extend(directive_summary(d));
                 }
-                reasons.extend(trace_b.for_symbol(name).iter().map(|e| render_event(e)));
+                // VPR names, as in `directive_summary`.
+                let desc = &vpr::target::VPR;
+                reasons.extend(trace_b.for_symbol(name).iter().map(|e| render_event_for(e, desc)));
                 ProcDelta {
                     name: name.clone(),
                     cycles_a: a.cycles,

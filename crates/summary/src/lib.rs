@@ -147,20 +147,6 @@ impl ProgramSummary {
     pub fn globals(&self) -> impl Iterator<Item = &GlobalFact> {
         self.modules.iter().flat_map(|m| m.globals.iter())
     }
-
-    /// Serializes to the on-disk summary-file format (JSON).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("summary serialization cannot fail")
-    }
-
-    /// Reads back a summary file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying JSON error for malformed input.
-    pub fn from_json(s: &str) -> Result<ProgramSummary, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 /// Maximum callee-saves estimate (size of the callee-saves register file).
@@ -349,7 +335,8 @@ mod tests {
         assert!(!f.alias.constraints.is_empty());
         // The record serializes with the rest of the summary.
         let prog = ProgramSummary { modules: vec![s] };
-        let back = ProgramSummary::from_json(&prog.to_json()).unwrap();
+        let back: ProgramSummary =
+            serde_json::from_str(&serde_json::to_string(&prog).unwrap()).unwrap();
         assert_eq!(prog, back);
     }
 
@@ -406,10 +393,10 @@ mod tests {
     fn json_round_trip() {
         let s = summarize("int g; int f() { g = 1; return g; }");
         let prog = ProgramSummary { modules: vec![s] };
-        let json = prog.to_json();
-        let back = ProgramSummary::from_json(&json).unwrap();
+        let json = serde_json::to_string(&prog).unwrap();
+        let back: ProgramSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(prog, back);
-        assert!(ProgramSummary::from_json("{broken").is_err());
+        assert!(serde_json::from_str::<ProgramSummary>("{broken").is_err());
     }
 
     #[test]

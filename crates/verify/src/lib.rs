@@ -767,7 +767,12 @@ pub fn verify_modules(modules: &[ObjectModule], db: &ProgramDatabase) -> VerifyR
                     None
                 }
             };
-            procs.push(Proc { module: &m.name, func: f, cfg, dirs: db.lookup(f.name()) });
+            procs.push(Proc {
+                module: &m.name,
+                func: f,
+                cfg,
+                dirs: db.lookup_for(f.name(), target),
+            });
         }
     }
 

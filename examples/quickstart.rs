@@ -8,6 +8,7 @@
 
 use ipra_core::PaperConfig;
 use ipra_driver::{compile, run_program, CompileOptions, SourceFile};
+use vpr::target::TargetId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A little two-module program: a counter module with a module-private
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nimprovement: {cyc_gain:.1}% cycles, {ref_gain:.1}% singleton memory references");
 
     // Show the directives the analyzer computed for the hot procedure.
-    let bump = optimized.database.lookup("bump");
+    let bump = optimized.database.lookup_for("bump", TargetId::Vpr);
     println!("\ndirectives for `bump`:");
     for p in &bump.promotions {
         println!(

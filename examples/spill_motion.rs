@@ -8,6 +8,7 @@
 
 use ipra_core::PaperConfig;
 use ipra_driver::{compile, run_program, CompileOptions, SourceFile};
+use vpr::target::TargetId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // R is entered once per outer iteration but calls S and T in a hot
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("average cluster size: {:.1} (paper reports 2-4)\n", moved.stats.avg_cluster_size);
 
     for name in ["main", "r", "s", "t", "w"] {
-        let d = moved.database.lookup(name);
+        let d = moved.database.lookup_for(name, TargetId::Vpr);
         println!(
             "{name:<5} root={:<5} FREE={:<16} MSPILL={:<16} CALLEE={}",
             d.is_cluster_root,

@@ -24,6 +24,9 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+echo "==> benchmark smoke (perfbench builds against every public name it imports)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> simulator benchmark (both engines, parity gated)"
 cargo run --release -q -p ipra-bench --bin sim_bench -- --check --out BENCH_sim.json
 test -s BENCH_sim.json

@@ -76,10 +76,10 @@ fn analyzer_statistics_are_sane() {
 fn database_round_trips_through_json() {
     let w = ipra_workloads::protoc();
     let c = compile(&w.sources, &CompileOptions::paper(PaperConfig::C)).unwrap();
-    let json = c.database.to_json();
-    let back = ipra_core::ProgramDatabase::from_json(&json).unwrap();
+    let json = serde_json::to_string_pretty(&c.database).unwrap();
+    let back: ipra_core::ProgramDatabase = serde_json::from_str(&json).unwrap();
     assert_eq!(c.database, back);
-    let sjson = c.summary.to_json();
-    let sback = ipra_summary::ProgramSummary::from_json(&sjson).unwrap();
+    let sjson = serde_json::to_string_pretty(&c.summary).unwrap();
+    let sback: ipra_summary::ProgramSummary = serde_json::from_str(&sjson).unwrap();
     assert_eq!(c.summary, sback);
 }

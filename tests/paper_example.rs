@@ -153,7 +153,7 @@ fn explain_renders_the_figure3_decision_chain_exactly() {
     assert_eq!(analysis.database, analyze(&figure3_summary(), &opts).database);
 
     assert_eq!(
-        ipra_obsv::explain(&trace, "g1"),
+        ipra_obsv::explain_for(&trace, "g1", &vpr::target::VPR),
         "analyzer decisions mentioning `g1` (2 of 8 events):\n  \
          - web #0: formed for global `g1` over {B, D, E} (entries {B}), written; \
          benefit 50, entry cost 4\n  \
@@ -161,7 +161,7 @@ fn explain_renders_the_figure3_decision_chain_exactly() {
          priority 46\n"
     );
     assert_eq!(
-        ipra_obsv::explain(&trace, "B"),
+        ipra_obsv::explain_for(&trace, "B", &vpr::target::VPR),
         "analyzer decisions mentioning `B` (4 of 8 events):\n  \
          - web #0: formed for global `g1` over {B, D, E} (entries {B}), written; \
          benefit 50, entry cost 4\n  \
@@ -172,5 +172,8 @@ fn explain_renders_the_figure3_decision_chain_exactly() {
          - web #3: global `g3` promoted to s1 across {A, B, C} (loaded at entries {A}); \
          priority 26\n"
     );
-    assert_eq!(ipra_obsv::explain(&trace, "zzz"), "no analyzer decisions mention `zzz`\n");
+    assert_eq!(
+        ipra_obsv::explain_for(&trace, "zzz", &vpr::target::VPR),
+        "no analyzer decisions mention `zzz`\n"
+    );
 }

@@ -115,7 +115,9 @@ fn compile_library(db_out: &mut ProgramDatabase) -> Vec<vpr::ObjectModule> {
         }
     }
     *db_out = analysis.database.clone();
-    irs.iter().map(|ir| cmin_codegen::compile_module(ir, &analysis.database)).collect()
+    irs.iter()
+        .map(|ir| cmin_codegen::compile_module_for(ir, &analysis.database, vpr::TargetId::Vpr))
+        .collect()
 }
 
 #[test]
@@ -128,7 +130,11 @@ fn library_optimized_alone_links_with_standard_app() {
     let (app, info) = &frontend(&[SourceFile::new("app", APP)]).unwrap()[0];
     let mut ir = cmin_ir::lower_module(app, info);
     cmin_ir::optimize_module(&mut ir);
-    modules.push(cmin_codegen::compile_module(&ir, &ProgramDatabase::new()));
+    modules.push(cmin_codegen::compile_module_for(
+        &ir,
+        &ProgramDatabase::new(),
+        vpr::TargetId::Vpr,
+    ));
 
     let exe = link(&modules).unwrap();
     let optimized = run_with(&exe, &SimOptions::default()).unwrap();
@@ -279,8 +285,10 @@ fn vlib_with_unresolved_external_callee_links_and_runs() {
             w.sym
         );
     }
-    let objects: Vec<vpr::ObjectModule> =
-        irs.iter().map(|ir| cmin_codegen::compile_module(ir, &analysis.database)).collect();
+    let objects: Vec<vpr::ObjectModule> = irs
+        .iter()
+        .map(|ir| cmin_codegen::compile_module_for(ir, &analysis.database, vpr::TargetId::Vpr))
+        .collect();
     // The whole-program verifier is entitled to flag the unresolved
     // external itself; everything else — register discipline included —
     // must be clean.
@@ -322,7 +330,7 @@ fn vlib_with_unresolved_external_callee_links_and_runs() {
     let (app, info) = &frontend(&[SourceFile::new("app", app_src)]).unwrap()[0];
     let mut ir = cmin_ir::lower_module(app, info);
     cmin_ir::optimize_module(&mut ir);
-    let root = cmin_codegen::compile_module(&ir, &ProgramDatabase::new());
+    let root = cmin_codegen::compile_module_for(&ir, &ProgramDatabase::new(), vpr::TargetId::Vpr);
 
     // Archive selection must pull every member (the app needs libapi and
     // libesc; libapi and libesc need libtable), to fixpoint.

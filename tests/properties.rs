@@ -10,14 +10,17 @@
 use ipra_core::analyzer::{analyze, AnalyzerOptions, PromotionMode};
 use ipra_core::callgraph::CallGraph;
 use ipra_core::cluster::{identify_clusters, ClusterHeuristics};
-use ipra_core::color::{color_webs, interferes, prioritize, ColoringStrategy, DiscardHeuristics};
+use ipra_core::color::{
+    color_webs_for, interferes, prioritize, ColoringStrategy, DiscardHeuristics,
+};
 use ipra_core::dataflow::{Eligibility, RefSets};
-use ipra_core::regsets::compute_register_sets;
+use ipra_core::regsets::compute_register_sets_for;
 use ipra_core::webs::identify_webs;
 use ipra_summary::{CallRef, GlobalFact, GlobalRef, ModuleSummary, ProcSummary, ProgramSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpr::regs::RegSet;
+use vpr::target::VPR;
 
 /// Seeds for one property run: 64 well-spread 64-bit values.
 fn seeds() -> impl Iterator<Item = u64> {
@@ -125,7 +128,8 @@ fn coloring_validity() {
         let refs = RefSets::compute(&graph, &elig);
         let (webs, _) = identify_webs(&graph, &elig, &refs);
         let prio = prioritize(&webs, &graph, &elig, &DiscardHeuristics::default());
-        let coloring = color_webs(&webs, &prio, ColoringStrategy::Reserved { count: k }, &graph);
+        let coloring =
+            color_webs_for(&webs, &prio, ColoringStrategy::Reserved { count: k }, &graph, &VPR);
         let mut used = std::collections::HashSet::new();
         for (i, a) in webs.iter().enumerate() {
             if let Some(r) = coloring.assignment[i] {
@@ -183,7 +187,7 @@ fn register_set_invariants() {
         let graph = CallGraph::build(&s, None);
         let clustering = identify_clusters(&graph, &ClusterHeuristics::default());
         let web_regs = vec![RegSet::new(); graph.len()];
-        let usage = compute_register_sets(&graph, &clustering, &web_regs, false);
+        let usage = compute_register_sets_for(&graph, &clustering, &web_regs, false, &VPR);
         for n in graph.node_ids() {
             let u = &usage[n.index()];
             assert!(u.free.is_disjoint(u.caller), "seed {seed}");
