@@ -431,24 +431,27 @@ fn analyze_impl(
     }
 
     // --- Program database (§4.3) ---
+    // Each node's promotions, gathered in one pass over the colored webs
+    // in web order; the stable sort by symbol below then fixes the bytes.
+    let mut promotions_at: Vec<Vec<Promotion>> = vec![Vec::new(); graph.len()];
+    for (w, reg) in webs.iter().zip(&coloring.assignment) {
+        let Some(r) = reg else { continue };
+        for &n in &w.nodes {
+            let is_entry = w.is_entry(n);
+            promotions_at[n.index()].push(Promotion {
+                sym: elig.global(w.global).sym.clone(),
+                reg: *r,
+                is_entry,
+                store_at_exit: is_entry && w.written,
+            });
+        }
+    }
     let mut database = ProgramDatabase::new();
     for n in graph.node_ids() {
         if !graph.node(n).defined {
             continue;
         }
-        let mut promotions = Vec::new();
-        for (w, reg) in webs.iter().zip(&coloring.assignment) {
-            let Some(r) = reg else { continue };
-            if w.contains(n) {
-                let is_entry = w.is_entry(n);
-                promotions.push(Promotion {
-                    sym: elig.global(w.global).sym.clone(),
-                    reg: *r,
-                    is_entry,
-                    store_at_exit: is_entry && w.written,
-                });
-            }
-        }
+        let mut promotions = std::mem::take(&mut promotions_at[n.index()]);
         promotions.sort_by(|a, b| a.sym.cmp(&b.sym));
         let (claimed_caller, safe_caller_across) = match &tree_caller {
             Some(tree) => (

@@ -17,7 +17,7 @@
 use crate::profile::ProfileData;
 use ipra_summary::ProgramSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A call graph node id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -78,6 +78,8 @@ pub struct CallGraph {
     scc: Vec<u32>,
     /// Number of SCCs.
     scc_count: u32,
+    /// Per node: on a recursive chain (SCC of two or more, or a self loop)?
+    recursive: Vec<bool>,
     /// SCC-condensation topological order of nodes (callers before callees,
     /// intra-SCC order arbitrary but deterministic).
     topo: Vec<NodeId>,
@@ -127,17 +129,20 @@ impl CallGraph {
         }
 
         let mut edges: Vec<Edge> = Vec::new();
+        let mut linked: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut address_taken: Vec<NodeId> = Vec::new();
+        let mut taken_seen: HashSet<NodeId> = HashSet::new();
         let mut indirect_callers: Vec<NodeId> = Vec::new();
         for p in summary.procs() {
             let from = by_name[&p.name];
             for c in &p.calls {
                 let to = intern(&mut nodes, &mut by_name, &c.callee);
                 edges.push(Edge { from, to, local_freq: c.freq, indirect: false });
+                linked.insert((from, to));
             }
             for t in &p.taken_addresses {
                 let id = intern(&mut nodes, &mut by_name, t);
-                if !address_taken.contains(&id) {
+                if taken_seen.insert(id) {
                     address_taken.push(id);
                 }
             }
@@ -149,7 +154,7 @@ impl CallGraph {
         // indirect call site.
         for &from in &indirect_callers {
             for &to in &address_taken {
-                if !edges.iter().any(|e| e.from == from && e.to == to) {
+                if linked.insert((from, to)) {
                     edges.push(Edge { from, to, local_freq: 1, indirect: true });
                 }
             }
@@ -164,6 +169,15 @@ impl CallGraph {
         }
 
         let (scc, scc_count, topo) = sccs(n, &edges, &succs);
+        let mut scc_size = vec![0u32; scc_count as usize];
+        for &c in &scc {
+            scc_size[c as usize] += 1;
+        }
+        let recursive: Vec<bool> = (0..n)
+            .map(|v| {
+                scc_size[scc[v] as usize] > 1 || succs[v].iter().any(|&i| edges[i].to.index() == v)
+            })
+            .collect();
         let mut g = CallGraph {
             nodes,
             edges,
@@ -172,6 +186,7 @@ impl CallGraph {
             preds,
             scc,
             scc_count,
+            recursive,
             topo,
             call_count: vec![0; n],
             edge_count: Vec::new(),
@@ -241,9 +256,7 @@ impl CallGraph {
 
     /// Is `n` on a recursive call chain (nontrivial SCC or self loop)?
     pub fn is_recursive(&self, n: NodeId) -> bool {
-        let my = self.scc[n.index()];
-        let shared = self.node_ids().any(|m| m != n && self.scc[m.index()] == my);
-        shared || self.successors(n).any(|s| s == n)
+        self.recursive[n.index()]
     }
 
     /// The SCC index of `n`.
@@ -285,18 +298,18 @@ impl CallGraph {
             self.call_count[s.index()] = 1;
         }
         // Process in condensation topological order; all cross-SCC
-        // predecessors are final by the time an SCC is reached.
+        // predecessors are final by the time an SCC is reached. Members of
+        // each SCC are grouped once, in topological order.
         let order = self.topo.clone();
-        let mut scc_seen: Vec<bool> = vec![false; self.scc_count as usize];
+        let mut by_scc: Vec<Vec<NodeId>> = vec![Vec::new(); self.scc_count as usize];
+        for &n in &order {
+            by_scc[self.scc[n.index()] as usize].push(n);
+        }
         for &n in &order {
             let scc = self.scc[n.index()] as usize;
-            if !scc_seen[scc] {
-                scc_seen[scc] = true;
-                // Gather the SCC members.
-                let members: Vec<NodeId> =
-                    order.iter().copied().filter(|m| self.scc[m.index()] as usize == scc).collect();
-                let recursive = members.len() > 1
-                    || members.iter().any(|&m| self.successors(m).any(|s| s == m));
+            let members = std::mem::take(&mut by_scc[scc]);
+            if !members.is_empty() {
+                let recursive = self.recursive[members[0].index()];
                 // Incoming flow from outside the SCC.
                 let mut incoming: u64 = members
                     .iter()

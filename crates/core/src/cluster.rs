@@ -52,12 +52,14 @@ pub struct Clustering {
     pub clusters: Vec<Cluster>,
     /// Immediate dominators over the call graph (virtual-rooted).
     idom: Vec<Option<NodeId>>,
+    /// Index into `clusters` of the cluster each root node roots.
+    root_of: HashMap<NodeId, usize>,
 }
 
 impl Clustering {
     /// The cluster rooted at `n`, if `n` is a root.
     pub fn cluster_of_root(&self, n: NodeId) -> Option<&Cluster> {
-        self.clusters.iter().find(|c| c.root == n)
+        self.root_of.get(&n).map(|&i| &self.clusters[i])
     }
 
     /// Is `n` a cluster root?
@@ -159,12 +161,15 @@ pub fn call_graph_dominators(graph: &CallGraph) -> Vec<Option<NodeId>> {
             }
         }
     };
-    let is_start = |x: NodeId| starts.contains(&x);
+    let mut is_start = vec![false; n];
+    for &s in &starts {
+        is_start[s.index()] = true;
+    }
     let mut changed = true;
     while changed {
         changed = false;
         for &b in &rpo {
-            if is_start(b) {
+            if is_start[b.index()] {
                 continue;
             }
             let mut new_idom: Option<NodeId> = None;
@@ -229,7 +234,9 @@ pub fn identify_clusters(graph: &CallGraph, heur: &ClusterHeuristics) -> Cluster
             graph.pred_edges(n).map(|(i, _)| graph.edge_count(i)).sum::<u64>().max(1)
         };
         // Calls into immediate successors this node dominates and which
-        // could be members (defined, non-recursive).
+        // could be members (defined, non-recursive). A node dominates one
+        // of its own successors exactly when it is that successor's
+        // immediate dominator.
         let member_calls: u64 = graph
             .succ_edges(n)
             .filter(|(_, e)| {
@@ -237,7 +244,7 @@ pub fn identify_clusters(graph: &CallGraph, heur: &ClusterHeuristics) -> Cluster
                 s != n
                     && graph.node(s).defined
                     && !graph.is_recursive(s)
-                    && cg_dominates(&idom, n, s)
+                    && idom[s.index()] == Some(n)
             })
             .map(|(i, _)| graph.edge_count(i))
             .sum();
@@ -248,26 +255,14 @@ pub fn identify_clusters(graph: &CallGraph, heur: &ClusterHeuristics) -> Cluster
 
     // 2. Assign members to their nearest dominating root, requiring every
     //    immediate predecessor to already be in that cluster.
+    let nearest = nearest_dominating_roots(&idom, &is_root);
     let mut clusters: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     let mut assigned: HashMap<NodeId, NodeId> = HashMap::new(); // node -> its cluster root
     for &n in &order {
         if !graph.node(n).defined || graph.is_recursive(n) {
             continue; // recursive chains never become non-root members
         }
-        // Nearest dominating root, walking the idom chain (excluding n).
-        let mut root: Option<NodeId> = None;
-        let mut cur = n;
-        while let Some(d) = idom[cur.index()] {
-            if d == cur {
-                break; // start node / virtual root
-            }
-            if is_root[d.index()] {
-                root = Some(d);
-                break;
-            }
-            cur = d;
-        }
-        let Some(r) = root else { continue };
+        let Some(r) = nearest[n.index()] else { continue };
         if r == n {
             continue;
         }
@@ -284,14 +279,47 @@ pub fn identify_clusters(graph: &CallGraph, heur: &ClusterHeuristics) -> Cluster
     // member set came up empty are dropped (a cluster of one node moves no
     // spill code).
     let mut out = Vec::new();
+    let mut root_of = HashMap::new();
     for &n in &order {
         if let Some(mut members) = clusters.remove(&n) {
             members.sort();
             members.dedup();
+            root_of.insert(n, out.len());
             out.push(Cluster { root: n, members });
         }
     }
-    Clustering { clusters: out, idom }
+    Clustering { clusters: out, idom, root_of }
+}
+
+/// For every node, the nearest strict dominator on its idom chain that is
+/// a root (`None` when the chain reaches a start node first). Each chain
+/// is walked only up to the first node already answered, and the answer
+/// is written back along the walked prefix.
+fn nearest_dominating_roots(idom: &[Option<NodeId>], is_root: &[bool]) -> Vec<Option<NodeId>> {
+    let mut nearest: Vec<Option<Option<NodeId>>> = vec![None; idom.len()];
+    let mut path: Vec<NodeId> = Vec::new();
+    for start in 0..idom.len() {
+        let mut cur = NodeId(start as u32);
+        let mut answer = None;
+        while nearest[cur.index()].is_none() {
+            path.push(cur);
+            match idom[cur.index()] {
+                Some(d) if d != cur && is_root[d.index()] => {
+                    answer = Some(d);
+                    break;
+                }
+                // A cycle in the chain cannot occur in a dominator tree;
+                // bail out rather than loop should one ever appear.
+                Some(d) if d != cur && path.len() <= idom.len() => cur = d,
+                _ => break,
+            }
+        }
+        let answer = nearest[cur.index()].unwrap_or(answer);
+        for n in path.drain(..) {
+            nearest[n.index()] = Some(answer);
+        }
+    }
+    nearest.into_iter().map(Option::flatten).collect()
 }
 
 #[cfg(test)]

@@ -223,19 +223,13 @@ pub fn color_webs_for(
     let callee_order = desc.callee_order();
     let mut assignment: Vec<Option<Reg>> = vec![None; webs.len()];
     let mut colored = 0;
+    // Registers of the colored webs at each node: two webs interfere
+    // exactly when they share a node, so a web's forbidden registers are
+    // the union over its own members.
+    let mut held: Vec<RegSet> = vec![RegSet::new(); graph.len()];
     for pw in &prio.considered {
         let w = &webs[pw.web];
-        // Registers already taken by interfering colored webs.
-        let mut taken = RegSet::new();
-        for (j, other) in webs.iter().enumerate() {
-            if j != pw.web {
-                if let Some(r) = assignment[j] {
-                    if interferes(w, other) {
-                        taken.insert(r);
-                    }
-                }
-            }
-        }
+        let taken: RegSet = w.nodes.iter().fold(RegSet::new(), |acc, &n| acc | held[n.index()]);
         let candidates: Vec<Reg> = match strategy {
             ColoringStrategy::Reserved { count } => {
                 callee_order.iter().copied().take(count as usize).collect()
@@ -255,6 +249,9 @@ pub fn color_webs_for(
         if let Some(r) = candidates.into_iter().find(|r| !taken.contains(*r)) {
             assignment[pw.web] = Some(r);
             colored += 1;
+            for &n in &w.nodes {
+                held[n.index()].insert(r);
+            }
         }
     }
     Coloring { assignment, colored }
@@ -265,17 +262,12 @@ pub fn color_webs_for(
 /// program-wide web covering every defined node, with the program start
 /// nodes as entries.
 pub fn blanket_webs(graph: &CallGraph, elig: &Eligibility, count: usize) -> Vec<Web> {
-    let mut totals: Vec<(GlobalId, u64)> = elig
-        .ids()
-        .map(|g| {
-            let total: u64 = graph
-                .node_ids()
-                .map(|n| elig.ref_freq(n, g).saturating_mul(graph.call_count(n).max(1)))
-                .sum();
-            (g, total)
-        })
-        .filter(|&(_, t)| t > 0)
-        .collect();
+    let mut weighted: Vec<u64> = vec![0; elig.len()];
+    for (n, g, freq) in elig.local_refs() {
+        weighted[g.index()] += freq.saturating_mul(graph.call_count(n).max(1));
+    }
+    let mut totals: Vec<(GlobalId, u64)> =
+        elig.ids().map(|g| (g, weighted[g.index()])).filter(|&(_, t)| t > 0).collect();
     totals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
     let all_defined: Vec<NodeId> = graph.node_ids().filter(|&n| graph.node(n).defined).collect();

@@ -18,7 +18,7 @@
 use crate::bitset::BitSet;
 use crate::callgraph::{CallGraph, NodeId};
 use ipra_summary::ProgramSummary;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// An index into the eligible-global table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,10 +76,11 @@ impl Eligibility {
     /// The set of globals the conservative rule rejects as aliased: any
     /// global whose address is taken anywhere.
     pub fn blanket_aliased(summary: &ProgramSummary) -> Vec<String> {
+        let mut seen: HashSet<&str> = HashSet::new();
         let mut aliased: Vec<String> = Vec::new();
         for p in summary.procs() {
             for r in &p.global_refs {
-                if r.address_taken() && !aliased.contains(&r.sym) {
+                if r.address_taken() && seen.insert(&r.sym) {
                     aliased.push(r.sym.clone());
                 }
             }
@@ -124,7 +125,7 @@ impl Eligibility {
                 }
             }
         }
-        let mut dir_mod: Vec<&str> = Vec::new();
+        let mut dir_mod: HashSet<&str> = HashSet::new();
         // Pointer facts of "gap" procedures — call-graph-reachable but
         // pruned by the points-to solve. Their emitted code is checked,
         // so their local bits count, conservatively (the solver has no
@@ -138,8 +139,8 @@ impl Eligibility {
                 continue;
             }
             for r in &p.global_refs {
-                if r.written && !dir_mod.contains(&r.sym.as_str()) {
-                    dir_mod.push(&r.sym);
+                if r.written {
+                    dir_mod.insert(&r.sym);
                 }
                 if gap {
                     if r.ptr_mod || r.escapes {
@@ -178,22 +179,27 @@ impl Eligibility {
         summary: &ProgramSummary,
         solution: Option<&ipra_alias::Solution>,
     ) -> Eligibility {
-        let aliased: Vec<String> = match solution {
+        let aliased: HashSet<String> = match solution {
             None => Self::blanket_aliased(summary),
             Some(sol) => Self::alias_aliased(graph, summary, sol),
-        };
-        let mut referenced: Vec<String> = Vec::new();
+        }
+        .into_iter()
+        .collect();
+        // Referenced symbols in first-reference order (the order of the
+        // `Undefined` rejections).
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut referenced: Vec<&str> = Vec::new();
         for p in summary.procs() {
             for r in &p.global_refs {
-                if !referenced.contains(&r.sym) {
-                    referenced.push(r.sym.clone());
+                if seen.insert(&r.sym) {
+                    referenced.push(&r.sym);
                 }
             }
         }
         let mut e = Eligibility::default();
-        let mut defined: Vec<&str> = Vec::new();
+        let mut defined: HashSet<&str> = HashSet::new();
         for g in summary.globals() {
-            defined.push(&g.sym);
+            defined.insert(&g.sym);
             if g.is_array {
                 e.rejected.push((g.sym.clone(), IneligibleReason::Array));
             } else if aliased.contains(&g.sym) {
@@ -209,8 +215,8 @@ impl Eligibility {
             }
         }
         for r in referenced {
-            if !defined.contains(&r.as_str()) {
-                e.rejected.push((r, IneligibleReason::Undefined));
+            if !defined.contains(r) {
+                e.rejected.push((r.to_string(), IneligibleReason::Undefined));
             }
         }
         // Local reference frequencies, weighted by estimated invocations
@@ -266,6 +272,12 @@ impl Eligibility {
     pub fn writes(&self, node: NodeId, g: GlobalId) -> bool {
         self.written.get(&(node, g)).copied().unwrap_or(false)
     }
+
+    /// Every nonzero local reference frequency, as `(node, global, freq)`,
+    /// in no particular order.
+    pub fn local_refs(&self) -> impl Iterator<Item = (NodeId, GlobalId, u64)> + '_ {
+        self.ref_freq.iter().filter(|(_, &f)| f > 0).map(|(&(n, g), &f)| (n, g, f))
+    }
 }
 
 /// The three per-node reference sets.
@@ -285,64 +297,19 @@ impl RefSets {
         let n = graph.len();
         let cap = elig.len();
         let mut l_ref: Vec<BitSet> = (0..n).map(|_| BitSet::new(cap)).collect();
-        for node in graph.node_ids() {
-            for g in elig.ids() {
-                if elig.ref_freq(node, g) > 0 {
-                    l_ref[node.index()].insert(g.index());
-                }
-            }
+        for (node, g, _) in elig.local_refs() {
+            l_ref[node.index()].insert(g.index());
         }
 
         // C_REF: bottom-up (reverse condensation topological order),
-        // iterated to fixpoint for cycles.
-        let mut c_ref: Vec<BitSet> = (0..n).map(|_| BitSet::new(cap)).collect();
+        // iterated to fixpoint for cycles. Self-edges participate: a
+        // self-recursive node sees its own L_REF in C_REF (and in P_REF
+        // below), which is what routes recursive chains into the
+        // cycle-web handling.
         let bottom_up: Vec<NodeId> = graph.topo_order().iter().rev().copied().collect();
-        loop {
-            let mut changed = false;
-            for &p in &bottom_up {
-                let mut acc = c_ref[p.index()].clone();
-                for s in graph.successors(p) {
-                    // Self-edges participate: a self-recursive node sees its
-                    // own L_REF in C_REF (and in P_REF below), which is what
-                    // routes recursive chains into the cycle-web handling.
-                    let (a, b) = (&c_ref[s.index()], &l_ref[s.index()]);
-                    let mut add = a.clone();
-                    add.union_with(b);
-                    acc.union_with(&add);
-                }
-                if acc != c_ref[p.index()] {
-                    c_ref[p.index()] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
+        let c_ref = propagate(&l_ref, cap, &bottom_up, |p| graph.successors(p));
         // P_REF: top-down (condensation topological order), to fixpoint.
-        let mut p_ref: Vec<BitSet> = (0..n).map(|_| BitSet::new(cap)).collect();
-        let top_down = graph.topo_order().to_vec();
-        loop {
-            let mut changed = false;
-            for &p in &top_down {
-                let mut acc = p_ref[p.index()].clone();
-                for i in graph.predecessors(p) {
-                    let (a, b) = (&p_ref[i.index()], &l_ref[i.index()]);
-                    let mut add = a.clone();
-                    add.union_with(b);
-                    acc.union_with(&add);
-                }
-                if acc != p_ref[p.index()] {
-                    p_ref[p.index()] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
+        let p_ref = propagate(&l_ref, cap, graph.topo_order(), |p| graph.predecessors(p));
         RefSets { l_ref, p_ref, c_ref }
     }
 
@@ -359,6 +326,34 @@ impl RefSets {
     /// `g ∈ C_REF[n]`?
     pub fn in_c(&self, n: NodeId, g: GlobalId) -> bool {
         self.c_ref[n.index()].contains(g.index())
+    }
+}
+
+/// The least sets `X` with `X[p] ⊇ X[q] ∪ L_REF[q]` for every `q` in
+/// `next(p)`, swept in `order` until nothing changes. Each set is unioned
+/// in place, so a sweep allocates nothing.
+fn propagate<I: Iterator<Item = NodeId>>(
+    l_ref: &[BitSet],
+    cap: usize,
+    order: &[NodeId],
+    next: impl Fn(NodeId) -> I,
+) -> Vec<BitSet> {
+    let mut x: Vec<BitSet> = (0..l_ref.len()).map(|_| BitSet::new(cap)).collect();
+    loop {
+        let mut changed = false;
+        for &p in order {
+            // Taken out so `x[q]` can be read beside it; for `q == p` the
+            // placeholder is empty and `acc` already holds `x[p]`.
+            let mut acc = std::mem::replace(&mut x[p.index()], BitSet::new(0));
+            for q in next(p) {
+                changed |= acc.union_with(&x[q.index()]);
+                changed |= acc.union_with(&l_ref[q.index()]);
+            }
+            x[p.index()] = acc;
+        }
+        if !changed {
+            return x;
+        }
     }
 }
 

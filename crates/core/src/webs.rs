@@ -18,7 +18,6 @@
 //! module are discarded (§7.4): the second phase could not address the
 //! module-private symbol from another module.
 
-use crate::bitset::BitSet;
 use crate::callgraph::{CallGraph, NodeId};
 use crate::dataflow::{Eligibility, GlobalId, RefSets};
 
@@ -74,6 +73,12 @@ pub struct WebStats {
 }
 
 /// Identifies all webs for all eligible globals.
+///
+/// Each global's search touches only the nodes that reference it and the
+/// webs grown from them: the referencing nodes are listed once for every
+/// global, the recursive SCCs are computed once, and the web being grown
+/// lives in a sparse member list over shared, generation-stamped node
+/// arrays, so no per-global pass is as wide as the call graph.
 pub fn identify_webs(
     graph: &CallGraph,
     elig: &Eligibility,
@@ -82,39 +87,51 @@ pub fn identify_webs(
     let mut webs: Vec<Web> = Vec::new();
     let mut stats = WebStats { eligible_globals: elig.len(), ..WebStats::default() };
 
+    // Nodes referencing each global (`L_REF` transposed), ascending.
+    let mut referencing: Vec<Vec<NodeId>> = vec![Vec::new(); elig.len()];
+    for n in graph.node_ids() {
+        for g in refs.l_ref[n.index()].iter() {
+            referencing[g].push(n);
+        }
+    }
+    let (sccs, scc_of) = recursive_sccs(graph);
+    let mut grow = Grower::new(graph.len());
+
     for g in elig.ids() {
-        let mut webs_g: Vec<BitSet> = Vec::new();
+        let refs_g = &referencing[g.index()];
+        let mut webs_g = WebList::default();
+        grow.owner_epoch += 1;
 
         // Phase 1: entry-candidate seeded webs (Figure 2).
-        for p in graph.node_ids() {
-            if !refs.in_l(p, g) || refs.in_p(p, g) {
-                continue;
+        for &p in refs_g {
+            if refs.in_p(p, g) || grow.owned(p).is_some() {
+                continue; // not a candidate, or absorbed by an earlier web
             }
-            if webs_g.iter().any(|w| w.contains(p.index())) {
-                continue; // already absorbed by an earlier web (merge-equivalent)
-            }
-            let w = grow_web(graph, refs, g, &[p]);
-            merge_in(&mut webs_g, w);
+            let w = grow.grow(graph, refs, g, &[p]);
+            webs_g.merge_in(&mut grow, w);
         }
 
         // Phase 2: recursive cycles that reference g but got no entry
-        // candidate anywhere in the cycle.
-        for scc in recursive_sccs(graph) {
-            let refs_g = scc.iter().any(|&n| refs.in_l(n, g));
-            let uncovered = scc.iter().all(|&n| !webs_g.iter().any(|w| w.contains(n.index())));
-            if refs_g && uncovered {
-                let w = grow_web(graph, refs, g, &scc);
-                merge_in(&mut webs_g, w);
+        // candidate anywhere in the cycle, in SCC order.
+        let mut cycles: Vec<usize> = refs_g.iter().filter_map(|&n| scc_of[n.index()]).collect();
+        cycles.sort_unstable();
+        cycles.dedup();
+        for c in cycles {
+            let scc = &sccs[c];
+            if scc.iter().all(|&n| grow.owned(n).is_none()) {
+                let w = grow.grow(graph, refs, g, scc);
+                webs_g.merge_in(&mut grow, w);
             }
         }
 
-        for w in webs_g {
+        for id in webs_g.order {
+            let mut nodes = std::mem::take(&mut webs_g.members[id]);
+            nodes.sort_unstable();
             stats.webs_total += 1;
-            let nodes: Vec<NodeId> = w.iter().map(|i| NodeId(i as u32)).collect();
             let entries: Vec<NodeId> = nodes
                 .iter()
                 .copied()
-                .filter(|&n| !graph.predecessors(n).any(|p| w.contains(p.index())))
+                .filter(|&n| !graph.predecessors(n).any(|p| grow.owned(p) == Some(id)))
                 .collect();
             // §7.4: a static's web entry must live in the defining module.
             let eg = elig.global(g);
@@ -136,89 +153,166 @@ pub fn identify_webs(
     (webs, stats)
 }
 
-/// Grows a web from `seeds`: expands each seed through successors with the
-/// variable in `L_REF ∪ C_REF`, then repeatedly repairs nodes that have both
-/// internal and external predecessors by pulling the external predecessors
-/// in (Figure 2's repeat/until loop).
-fn grow_web(graph: &CallGraph, refs: &RefSets, g: GlobalId, seeds: &[NodeId]) -> BitSet {
-    let mut w = BitSet::new(graph.len());
-    let mut temp: Vec<NodeId> = seeds.to_vec();
-    loop {
-        for &q in &temp {
-            expand_web(graph, refs, g, &mut w, q);
+/// Scratch state shared by every web search: per-node stamps say which
+/// web of the current global owns a node, and which nodes the web being
+/// grown holds, without clearing anything between searches.
+struct Grower {
+    /// `(epoch, web id)` of the current global's web owning each node.
+    owner: Vec<(u32, usize)>,
+    /// Bumped per global: older `owner` stamps read as unowned.
+    owner_epoch: u32,
+    /// Stamp of the growth that holds each node.
+    held: Vec<u32>,
+    /// Stamp of the growth that pulled each node's predecessors in.
+    pulled: Vec<u32>,
+    /// Bumped per growth.
+    grow_epoch: u32,
+}
+
+impl Grower {
+    fn new(n: usize) -> Grower {
+        Grower {
+            owner: vec![(0, 0); n],
+            owner_epoch: 0,
+            held: vec![0; n],
+            pulled: vec![0; n],
+            grow_epoch: 0,
         }
-        // S = members with at least one predecessor inside and one outside.
-        let mut fixups: Vec<NodeId> = Vec::new();
-        for i in w.iter() {
-            let z = NodeId(i as u32);
-            let mut internal = false;
-            let mut external: Vec<NodeId> = Vec::new();
-            for p in graph.predecessors(z) {
-                if w.contains(p.index()) {
-                    internal = true;
-                } else if !external.contains(&p) {
-                    external.push(p);
+    }
+
+    /// The current global's web owning `n`, if any.
+    fn owned(&self, n: NodeId) -> Option<usize> {
+        let (epoch, id) = self.owner[n.index()];
+        (epoch == self.owner_epoch).then_some(id)
+    }
+
+    /// Grows a web from `seeds` to Figure 2's fixpoint: every member's
+    /// successors with the variable in `L_REF ∪ C_REF` are members
+    /// (`Expand_Web`), and a member with a predecessor inside the web has
+    /// all its predecessors inside (the repeat/until repair loop). The
+    /// least such set does not depend on the order the rules fire in, so
+    /// one pass over the members applies both as members arrive, and each
+    /// member's predecessors are pulled in at most once. Members come back
+    /// in discovery order.
+    fn grow(
+        &mut self,
+        graph: &CallGraph,
+        refs: &RefSets,
+        g: GlobalId,
+        seeds: &[NodeId],
+    ) -> Vec<NodeId> {
+        self.grow_epoch += 1;
+        let mut members: Vec<NodeId> = Vec::new();
+        for &q in seeds {
+            self.hold(q, &mut members);
+        }
+        let mut next = 0;
+        while let Some(&n) = members.get(next) {
+            next += 1;
+            for s in graph.successors(n) {
+                if refs.in_c(s, g) || refs.in_l(s, g) {
+                    self.hold(s, &mut members);
                 }
             }
-            if internal && !external.is_empty() {
-                fixups.extend(external);
+            // `n` is an internal predecessor of each member successor, and
+            // of itself once any of its own predecessors is a member.
+            for s in graph.successors(n) {
+                if self.holds(s) {
+                    self.pull(graph, s, &mut members);
+                }
+            }
+            if graph.predecessors(n).any(|p| self.holds(p)) {
+                self.pull(graph, n, &mut members);
             }
         }
-        if fixups.is_empty() {
-            return w;
+        members
+    }
+
+    /// Does the web being grown hold `n`?
+    fn holds(&self, n: NodeId) -> bool {
+        self.held[n.index()] == self.grow_epoch
+    }
+
+    fn hold(&mut self, n: NodeId, members: &mut Vec<NodeId>) {
+        if !self.holds(n) {
+            self.held[n.index()] = self.grow_epoch;
+            members.push(n);
         }
-        fixups.sort();
-        fixups.dedup();
-        temp = fixups;
+    }
+
+    /// Pulls every predecessor of member `z` into the web.
+    fn pull(&mut self, graph: &CallGraph, z: NodeId, members: &mut Vec<NodeId>) {
+        if self.pulled[z.index()] != self.grow_epoch {
+            self.pulled[z.index()] = self.grow_epoch;
+            for p in graph.predecessors(z) {
+                self.hold(p, members);
+            }
+        }
     }
 }
 
-/// Figure 2's `Expand_Web`: add `q`, then recurse into successors with the
-/// variable in `L_REF ∪ C_REF` (iterative worklist form).
-fn expand_web(graph: &CallGraph, refs: &RefSets, g: GlobalId, w: &mut BitSet, q: NodeId) {
-    let mut work = vec![q];
-    w.insert(q.index());
-    while let Some(n) = work.pop() {
-        for s in graph.successors(n) {
-            if !w.contains(s.index()) && (refs.in_c(s, g) || refs.in_l(s, g)) {
-                w.insert(s.index());
-                work.push(s);
-            }
-        }
-    }
+/// One global's webs, in Figure 2's list order, plus their members.
+#[derive(Default)]
+struct WebList {
+    /// Web ids in list order.
+    order: Vec<usize>,
+    /// Members per web id (emptied when a web is merged away).
+    members: Vec<Vec<NodeId>>,
 }
 
-/// Merges `w` into the per-global web list, unioning any overlapping webs.
-fn merge_in(webs_g: &mut Vec<BitSet>, mut w: BitSet) {
-    loop {
-        let overlap = webs_g.iter().position(|x| x.iter().any(|i| w.contains(i)));
-        match overlap {
-            Some(i) => {
-                let x = webs_g.swap_remove(i);
-                w.union_with(&x);
+impl WebList {
+    /// Merges the newly grown web `w` into the list, unioning it with every
+    /// web it overlaps. The webs already in the list are disjoint, so the
+    /// overlapping set is fixed by `w`'s members; they are removed
+    /// lowest-position first with `swap_remove` and the union is pushed
+    /// last, exactly as repeated first-overlap search would order them.
+    fn merge_in(&mut self, grow: &mut Grower, mut w: Vec<NodeId>) {
+        let mut hit: Vec<usize> = w.iter().filter_map(|&n| grow.owned(n)).collect();
+        hit.sort_unstable();
+        hit.dedup();
+        // Positions of the overlapping webs, updated as `swap_remove`
+        // moves the last web into a vacated slot.
+        let mut at: Vec<usize> = hit
+            .iter()
+            .map(|id| self.order.iter().position(|x| x == id).expect("listed web"))
+            .collect();
+        while let Some(k) = (0..at.len()).min_by_key(|&k| at[k]) {
+            let pos = at.swap_remove(k);
+            let last = self.order.len() - 1;
+            let id = self.order.swap_remove(pos);
+            if let Some(moved) = at.iter_mut().find(|p| **p == last) {
+                *moved = pos;
             }
-            None => break,
+            let absorbed = std::mem::take(&mut self.members[id]);
+            w.extend(absorbed.into_iter().filter(|&n| !grow.holds(n)));
         }
+        let id = self.members.len();
+        for &n in &w {
+            grow.owner[n.index()] = (grow.owner_epoch, id);
+        }
+        self.members.push(w);
+        self.order.push(id);
     }
-    webs_g.push(w);
 }
 
 /// All recursive SCCs (more than one node, or a self loop), each as a sorted
-/// node list.
-fn recursive_sccs(graph: &CallGraph) -> Vec<Vec<NodeId>> {
-    let mut by_scc: std::collections::HashMap<u32, Vec<NodeId>> = std::collections::HashMap::new();
+/// node list, in sorted order; plus each node's index into that list.
+fn recursive_sccs(graph: &CallGraph) -> (Vec<Vec<NodeId>>, Vec<Option<usize>>) {
+    let mut by_scc: Vec<Vec<NodeId>> = vec![Vec::new(); graph.scc_count() as usize];
     for n in graph.node_ids() {
-        by_scc.entry(graph.scc_of(n)).or_default().push(n);
+        if graph.is_recursive(n) {
+            by_scc[graph.scc_of(n) as usize].push(n);
+        }
     }
-    let mut out: Vec<Vec<NodeId>> = by_scc
-        .into_values()
-        .filter(|ns| ns.len() > 1 || ns.iter().any(|&n| graph.successors(n).any(|s| s == n)))
-        .collect();
-    for ns in &mut out {
-        ns.sort();
-    }
+    let mut out: Vec<Vec<NodeId>> = by_scc.into_iter().filter(|ns| !ns.is_empty()).collect();
     out.sort();
-    out
+    let mut scc_of = vec![None; graph.len()];
+    for (i, ns) in out.iter().enumerate() {
+        for &n in ns {
+            scc_of[n.index()] = Some(i);
+        }
+    }
+    (out, scc_of)
 }
 
 #[cfg(test)]
@@ -453,5 +547,52 @@ mod tests {
             assert!(w.written);
         }
         let _ = e;
+    }
+
+    /// `WebList::merge_in` orders the list exactly like Figure 2's merge
+    /// loop: remove the first overlapping web (`swap_remove`), union it in,
+    /// repeat, push the union last.
+    #[test]
+    fn merge_in_keeps_the_first_overlap_order() {
+        use std::collections::BTreeSet;
+        fn reference(list: &mut Vec<BTreeSet<u32>>, mut w: BTreeSet<u32>) {
+            while let Some(i) = list.iter().position(|x| !x.is_disjoint(&w)) {
+                let x = list.swap_remove(i);
+                w.extend(x);
+            }
+            list.push(w);
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..300 {
+            let mut grow = Grower::new(48);
+            grow.owner_epoch = 1;
+            let mut list = WebList::default();
+            let mut want: Vec<BTreeSet<u32>> = Vec::new();
+            for _ in 0..14 {
+                grow.grow_epoch += 1;
+                let mut w: Vec<NodeId> = Vec::new();
+                for _ in 0..=next(3) {
+                    let n = NodeId(next(48) as u32);
+                    if !grow.holds(n) {
+                        grow.held[n.index()] = grow.grow_epoch;
+                        w.push(n);
+                    }
+                }
+                reference(&mut want, w.iter().map(|n| n.0).collect());
+                list.merge_in(&mut grow, w);
+            }
+            let got: Vec<BTreeSet<u32>> = list
+                .order
+                .iter()
+                .map(|&id| list.members[id].iter().map(|n| n.0).collect())
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 }

@@ -54,6 +54,7 @@
 pub mod engine;
 pub mod liveness;
 
+use ipra_core::bitset::BitSet;
 use ipra_core::{ProcDirectives, ProgramDatabase, Promotion};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -417,39 +418,91 @@ fn fix_clobbers(
     }
 }
 
-/// Transitively accessed global symbols per procedure (seeded by `seed`,
-/// closed over all resolvable calls). Feeds the web-escape check: a web
-/// member must never reach code that *writes* the promoted global's memory
-/// home — nor code that merely reads it, when the web holds a written
-/// (and therefore newer) register copy.
-fn fix_mem_access(
+/// Every procedure's resolved callees (direct calls plus the indirect
+/// targets in `taken`), deduplicated, ascending.
+fn callee_lists(
     procs: &[Proc<'_>],
     by_name: &HashMap<&str, usize>,
     taken: &[usize],
-    seed: &dyn Fn(&Inst) -> Option<String>,
-) -> Vec<BTreeSet<String>> {
-    let mut mem: Vec<BTreeSet<String>> =
-        procs.iter().map(|p| p.func.insts().iter().filter_map(seed).collect()).collect();
-    loop {
-        let mut changed = false;
-        for i in 0..procs.len() {
-            let mut add: Vec<String> = Vec::new();
-            for inst in procs[i].func.insts() {
-                for t in call_targets(inst, by_name, taken) {
-                    if t == i {
-                        continue;
-                    }
-                    add.extend(mem[t].iter().filter(|s| !mem[i].contains(*s)).cloned());
+) -> Vec<Vec<usize>> {
+    procs
+        .iter()
+        .map(|p| {
+            let mut cs: Vec<usize> =
+                p.func.insts().iter().flat_map(|i| call_targets(i, by_name, taken)).collect();
+            cs.sort_unstable();
+            cs.dedup();
+            cs
+        })
+        .collect()
+}
+
+/// Transitively accessed global symbols per procedure, as bitsets over one
+/// interned symbol table. Feeds the web-escape check: a web member must
+/// never reach code that *writes* the promoted global's memory home — nor
+/// code that merely reads it, when the web holds a written (and therefore
+/// newer) register copy.
+struct MemAccess<'a> {
+    /// Dense index of every global symbol any instruction names.
+    syms: HashMap<&'a str, usize>,
+    /// Per procedure: symbols it or a transitive callee touches.
+    sets: Vec<BitSet>,
+}
+
+impl<'a> MemAccess<'a> {
+    /// The symbol table over every `LDG`/`STG`/`LGA` operand.
+    fn symbols(procs: &[Proc<'a>]) -> HashMap<&'a str, usize> {
+        let mut syms: HashMap<&'a str, usize> = HashMap::new();
+        for p in procs {
+            for inst in p.func.insts() {
+                if let Inst::Ldg { sym, .. } | Inst::Stg { sym, .. } | Inst::Lga { sym, .. } = inst
+                {
+                    let next = syms.len();
+                    syms.entry(sym.as_str()).or_insert(next);
                 }
             }
-            if !add.is_empty() {
-                changed = true;
-                mem[i].extend(add);
+        }
+        syms
+    }
+
+    /// Seeds each procedure with the symbols `seed` picks out of its own
+    /// code, then closes over `callees` to the least fixpoint.
+    fn compute(
+        procs: &[Proc<'a>],
+        callees: &[Vec<usize>],
+        syms: HashMap<&'a str, usize>,
+        seed: impl Fn(&'a Inst) -> Option<&'a str>,
+    ) -> MemAccess<'a> {
+        let mut sets: Vec<BitSet> = procs
+            .iter()
+            .map(|p| {
+                let mut set = BitSet::new(syms.len());
+                for sym in p.func.insts().iter().filter_map(&seed) {
+                    set.insert(syms[sym]);
+                }
+                set
+            })
+            .collect();
+        loop {
+            let mut changed = false;
+            for (i, cs) in callees.iter().enumerate() {
+                // Taken out so callee sets can be read beside it; a
+                // self-call reads the empty placeholder, a no-op.
+                let mut acc = std::mem::replace(&mut sets[i], BitSet::new(0));
+                for &t in cs {
+                    changed |= acc.union_with(&sets[t]);
+                }
+                sets[i] = acc;
+            }
+            if !changed {
+                return MemAccess { syms, sets };
             }
         }
-        if !changed {
-            return mem;
-        }
+    }
+
+    /// Does procedure `proc` (transitively) touch `sym`?
+    fn contains(&self, proc: usize, sym: &str) -> bool {
+        self.syms.get(sym).is_some_and(|&s| self.sets[proc].contains(s))
     }
 }
 
@@ -466,12 +519,16 @@ fn fix_mem_access(
 /// value). Every `CallInd`-resolving check uses this set; the blanket
 /// all-procedures variant would resolve live indirect calls to dead
 /// procedures and manufacture false escapes/clobbers.
+///
+/// A worklist visits each reachable procedure once: once any reachable
+/// code holds a `CallInd`, every `LDFA` target found in reachable code,
+/// before or after, is reachable too.
 fn machine_reachable(
     procs: &[Proc<'_>],
     by_name: &HashMap<&str, usize>,
 ) -> (Vec<bool>, Vec<usize>) {
-    let all_taken = || {
-        let mut t: Vec<usize> = procs
+    let Some(&mi) = by_name.get("main") else {
+        let mut taken: Vec<usize> = procs
             .iter()
             .flat_map(|p| p.func.insts())
             .filter_map(|i| match i {
@@ -479,49 +536,53 @@ fn machine_reachable(
                 _ => None,
             })
             .collect();
-        t.sort_unstable();
-        t.dedup();
-        t
-    };
-    let Some(&mi) = by_name.get("main") else {
-        return (vec![true; procs.len()], all_taken());
+        taken.sort_unstable();
+        taken.dedup();
+        return (vec![true; procs.len()], taken);
     };
     let mut reach = vec![false; procs.len()];
+    let mut is_taken = vec![false; procs.len()];
+    let mut taken: Vec<usize> = Vec::new();
+    let mut indirect = false;
+    let mut work = vec![mi];
     reach[mi] = true;
-    loop {
-        let mut changed = false;
-        let taken: Vec<usize> = {
-            let mut t: Vec<usize> = procs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| reach[*i])
-                .flat_map(|(_, p)| p.func.insts())
-                .filter_map(|i| match i {
-                    Inst::Ldfa { func, .. } => by_name.get(func.as_str()).copied(),
-                    _ => None,
-                })
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
-        for i in 0..procs.len() {
-            if !reach[i] {
-                continue;
-            }
-            for inst in procs[i].func.insts() {
-                for t in call_targets(inst, by_name, &taken) {
-                    if !reach[t] {
-                        reach[t] = true;
-                        changed = true;
+    let mark = |t: usize, reach: &mut Vec<bool>, work: &mut Vec<usize>| {
+        if !reach[t] {
+            reach[t] = true;
+            work.push(t);
+        }
+    };
+    while let Some(i) = work.pop() {
+        for inst in procs[i].func.insts() {
+            match inst {
+                Inst::Call { target } => {
+                    if let Some(&t) = by_name.get(target.as_str()) {
+                        mark(t, &mut reach, &mut work);
                     }
                 }
+                Inst::CallInd { .. } if !indirect => {
+                    indirect = true;
+                    for &t in &taken {
+                        mark(t, &mut reach, &mut work);
+                    }
+                }
+                Inst::Ldfa { func, .. } => {
+                    if let Some(&t) = by_name.get(func.as_str()) {
+                        if !is_taken[t] {
+                            is_taken[t] = true;
+                            taken.push(t);
+                            if indirect {
+                                mark(t, &mut reach, &mut work);
+                            }
+                        }
+                    }
+                }
+                _ => {}
             }
         }
-        if !changed {
-            return (reach, taken);
-        }
     }
+    taken.sort_unstable();
+    (reach, taken)
 }
 
 /// Does `p` redefine the dedicated register of promotion `q` by anything
@@ -782,12 +843,14 @@ pub fn verify_modules(modules: &[ObjectModule], db: &ProgramDatabase) -> VerifyR
 
     let saved: Vec<RegSet> = procs.iter().map(|p| saved_regs(p.func, desc.sp)).collect();
     let clobber = fix_clobbers(&procs, &by_name, &taken, desc);
-    let mem = fix_mem_access(&procs, &by_name, &taken, &|i| match i {
-        Inst::Ldg { sym, .. } | Inst::Stg { sym, .. } | Inst::Lga { sym, .. } => Some(sym.clone()),
+    let callees = callee_lists(&procs, &by_name, &taken);
+    let syms = MemAccess::symbols(&procs);
+    let mem = MemAccess::compute(&procs, &callees, syms.clone(), |i| match i {
+        Inst::Ldg { sym, .. } | Inst::Stg { sym, .. } | Inst::Lga { sym, .. } => Some(sym),
         _ => None,
     });
-    let mem_write = fix_mem_access(&procs, &by_name, &taken, &|i| match i {
-        Inst::Stg { sym, .. } => Some(sym.clone()),
+    let mem_write = MemAccess::compute(&procs, &callees, syms, |i| match i {
+        Inst::Stg { sym, .. } => Some(sym),
         _ => None,
     });
     let arg_uses = fix_arg_uses(&procs, &by_name, &taken, &clobber, desc);
@@ -878,8 +941,8 @@ fn check_proc(
     by_name: &HashMap<&str, usize>,
     taken: &[usize],
     clobber: &[RegSet],
-    mem: &[BTreeSet<String>],
-    mem_write: &[BTreeSet<String>],
+    mem: &MemAccess<'_>,
+    mem_write: &MemAccess<'_>,
     written_webs: &BTreeSet<String>,
     reachable: bool,
     arg_uses: &[RegSet],
@@ -1068,9 +1131,9 @@ fn check_proc(
                             // the alias analysis legitimately promotes
                             // past whatever they would have reached.
                             let escapes = if written_webs.contains(&pr.sym) {
-                                mem[t].contains(&pr.sym)
+                                mem.contains(t, &pr.sym)
                             } else {
-                                mem_write[t].contains(&pr.sym)
+                                mem_write.contains(t, &pr.sym)
                             };
                             if escapes && reachable {
                                 report(
