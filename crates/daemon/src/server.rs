@@ -63,7 +63,8 @@ pub struct ServerOptions {
     pub capacity: Option<usize>,
     /// Per-request build timeout. `None` waits indefinitely.
     pub request_timeout: Option<Duration>,
-    /// Counter/span sink; the `stats` endpoint snapshots its counters.
+    /// Counter sink; the `stats` endpoint snapshots its counters. Builds
+    /// add their counters here but keep no span events in it.
     pub telemetry: Telemetry,
 }
 
@@ -441,10 +442,15 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
         .iter()
         .map(|s| SourceFile { name: s.name.clone(), text: s.text.clone() })
         .collect();
+    // The build counts into a collector of its own whose counters are
+    // added to the shared registry afterwards. Its span events go with it:
+    // nothing exports a daemon's spans, and the shared collector would
+    // otherwise keep every request's events for the daemon's lifetime.
+    let build_tele = Telemetry::new();
     let options = CompileOptions {
         optimize: req.optimize,
         jobs: shared.opts.jobs,
-        telemetry: Some(shared.tele.clone()),
+        telemetry: Some(build_tele.clone()),
         ..CompileOptions::default()
     };
     let shard_index = (fp % shared.shards.len() as u64) as usize;
@@ -459,6 +465,9 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
     );
     let after = cache.stats();
     drop(cache);
+    for (name, value) in build_tele.counters() {
+        shared.tele.add(&name, value);
+    }
     export_shard_counters(&shared.tele, shard_index, before, after);
     shared.tele.add("daemon.builds", 1);
     let program = match built {

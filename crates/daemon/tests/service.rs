@@ -4,7 +4,10 @@
 
 use ipra_daemon::protocol::{BuildRequest, WireSource};
 use ipra_daemon::{Client, ClientError, Server, ServerOptions, WireError};
+use ipra_core::PaperConfig;
 use ipra_driver::{compile, CompileOptions, SourceFile};
+use ipra_telemetry::Telemetry;
+use std::collections::BTreeMap;
 use ipra_workloads::scaled::scaled_program;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -51,6 +54,51 @@ fn daemon_serves_builds_byte_identical_to_local_compiles() {
 
     client.shutdown().expect("shutdown");
     server.wait();
+}
+
+/// Every build records span events, and nothing exports a daemon's spans:
+/// the shared collector must not keep them, or a long-lived daemon grows
+/// with every request. Its counters must stay exactly what the builds
+/// count.
+#[test]
+fn span_events_stay_bounded_and_counters_stay_exact() {
+    let server = Server::start(ServerOptions::new(sock("spans"))).expect("server start");
+    let mut client = Client::connect(server.socket()).expect("connect");
+    let sources = scaled_program(4);
+    let request = BuildRequest {
+        config: "C".to_string(),
+        optimize: true,
+        sources: wire_sources(&sources),
+        training_input: Vec::new(),
+    };
+    client.build(&request).expect("first build");
+    let after_first = server.telemetry().event_count();
+
+    // Apart from the daemon's own, the counters are a local cold build's.
+    let tele = Telemetry::new();
+    let options = CompileOptions {
+        telemetry: Some(tele.clone()),
+        ..CompileOptions::paper(PaperConfig::C)
+    };
+    compile(&sources, &options).expect("local compile");
+    let remote: BTreeMap<String, u64> = client
+        .stats()
+        .expect("stats")
+        .into_iter()
+        .filter(|c| !c.name.starts_with("daemon."))
+        .map(|c| (c.name, c.value))
+        .collect();
+    assert_eq!(remote, tele.counters());
+
+    for _ in 1..100 {
+        client.build(&request).expect("warm build");
+    }
+    assert_eq!(server.telemetry().event_count(), after_first, "span events kept per request");
+    let counters = client.stats().expect("stats");
+    let get = |name: &str| counters.iter().find(|c| c.name == name).map_or(0, |c| c.value);
+    assert_eq!(get("daemon.builds"), 100);
+    assert_eq!(get("cache.p2.mem_hits"), 99 * 4, "every warm rebuild hits phase 2 per module");
+    server.stop();
 }
 
 #[test]
