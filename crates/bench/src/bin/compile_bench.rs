@@ -31,11 +31,19 @@
 //! cargo run --release -p ipra-bench --bin compile_bench -- --modules 8 --check
 //! ```
 //!
+//! A **scaling** regime times the two whole-program passes alone — the
+//! program analyzer and the verifier, in process, best of five — on the
+//! scaled program at 256 and 1024 modules. Per-module phases grow
+//! linearly by construction; these two are where a super-linear loop
+//! would hide. Linear growth gives a 4× ratio between the two sizes.
+//!
 //! `--check` asserts the cache behaved (warm build all hits, one-edit
 //! rebuild touching fewer modules than cold, warm faster than cold,
-//! disk-warm faster than disk-cold) and exits nonzero otherwise — the CI
+//! disk-warm faster than disk-cold) and that the scaling ratio stays at
+//! or below [`MAX_SCALING_RATIO`], and exits nonzero otherwise — the CI
 //! smoke mode wired into `scripts/check.sh`.
 
+use ipra_core::analyzer::AnalyzerOptions;
 use ipra_core::PaperConfig;
 use ipra_driver::{
     compile_incremental, run_program, CompilationCache, CompileOptions, CompiledProgram,
@@ -130,6 +138,27 @@ struct TargetRow {
     exit: i64,
 }
 
+/// One size of the scaling regime.
+#[derive(Debug, Serialize)]
+struct ScalingRow {
+    modules: usize,
+    /// Best-of-[`SCALING_TRIALS`] seconds of `analyze` + `verify_modules`
+    /// (phase 1, phase 2 and link excluded).
+    seconds: f64,
+    /// The analyzer's share of that trial.
+    analyze_seconds: f64,
+}
+
+/// The scaling regime: analyzer plus verifier time at two sizes of the
+/// scaled program, and their ratio.
+#[derive(Debug, Serialize)]
+struct ScalingReport {
+    /// The small size, then the large one.
+    rows: Vec<ScalingRow>,
+    /// Large over small seconds; linear growth gives the size ratio.
+    ratio: f64,
+}
+
 /// The simulator regime, echoed from `sim_bench`'s report so the compile
 /// and execution trend lines travel together.
 #[derive(Debug, Serialize)]
@@ -147,8 +176,12 @@ struct SimRegime {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     config: String,
+    /// The host's available parallelism.
+    nproc: usize,
+    /// Worker-pool width of the parallel legs (`--jobs`, default `nproc`).
     jobs: usize,
     sizes: Vec<SizeReport>,
+    scaling: ScalingReport,
     alias: AliasReport,
     /// One row per machine description: compile-time and run observables
     /// of the same workload on every target the backend supports.
@@ -341,6 +374,46 @@ fn measure_targets(modules: usize, config: PaperConfig) -> Vec<TargetRow> {
         .collect()
 }
 
+/// Trials per size in the scaling regime; it reports the fastest.
+const SCALING_TRIALS: usize = 5;
+
+/// The `--check` ceiling on the scaling regime's 256 → 1024 ratio: linear
+/// growth is 4×, and a pass quadratic in the module count gives 16×.
+const MAX_SCALING_RATIO: f64 = 8.0;
+
+/// Times the analyzer and the verifier on already-compiled scaled
+/// programs, so that only the two whole-program passes are measured.
+fn measure_scaling(config: PaperConfig) -> ScalingReport {
+    let opts = AnalyzerOptions::paper_config(config, None);
+    let rows: Vec<ScalingRow> = [256, 1024]
+        .into_iter()
+        .map(|modules| {
+            let program = compile_incremental(
+                &scaled_program(modules),
+                &CompileOptions::paper(config),
+                &mut CompilationCache::new(),
+            )
+            .expect("scaling regime build");
+            let mut row = ScalingRow { modules, seconds: f64::INFINITY, analyze_seconds: 0.0 };
+            for _ in 0..SCALING_TRIALS {
+                let t = Instant::now();
+                let analysis = ipra_core::analyze(&program.summary, &opts);
+                let analyzed = t.elapsed().as_secs_f64();
+                let report = ipra_driver::verify_program(&program);
+                let seconds = t.elapsed().as_secs_f64();
+                assert!(analysis.database == program.database, "scaling regime: analysis differs");
+                assert!(report.is_clean(), "scaling regime: {modules} modules failed verification");
+                if seconds < row.seconds {
+                    row = ScalingRow { modules, seconds, analyze_seconds: analyzed };
+                }
+            }
+            row
+        })
+        .collect();
+    let ratio = rows[1].seconds / rows[0].seconds.max(1e-9);
+    ScalingReport { rows, ratio }
+}
+
 /// Distinct globals promoted anywhere in the program database.
 fn promoted_globals(p: &CompiledProgram) -> usize {
     let syms: BTreeSet<&str> =
@@ -394,15 +467,17 @@ fn main() -> ExitCode {
             .collect(),
         None => vec![8, 64, 256],
     };
-    let jobs =
-        flag_value(&args, "--jobs").map(|v| v.parse::<usize>().expect("bad --jobs")).unwrap_or(0); // 0 = one worker per core
+    let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let jobs = flag_value(&args, "--jobs")
+        .map(|v| v.parse::<usize>().expect("bad --jobs"))
+        .unwrap_or(nproc);
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_compile.json".to_string());
     let sim_path = flag_value(&args, "--sim-json").unwrap_or_else(|| "BENCH_sim.json".to_string());
     let check = args.iter().any(|a| a == "--check");
     let config = PaperConfig::C;
 
     let effective = CompileOptions { jobs, ..CompileOptions::default() }.effective_jobs();
-    eprintln!("compile_bench: sizes {sizes:?}, jobs {effective}, config {config}");
+    eprintln!("compile_bench: sizes {sizes:?}, jobs {effective} of {nproc} cores, config {config}");
 
     let alias = measure_alias();
     eprintln!(
@@ -438,10 +513,22 @@ fn main() -> ExitCode {
         ),
         None => eprintln!("  sim regime: no report at {sim_path}, skipping"),
     }
+    let scaling = measure_scaling(config);
+    let (small, large) = (&scaling.rows[0], &scaling.rows[1]);
+    eprintln!(
+        "  scaling regime: analyze + verify {:.1}ms at {} modules, {:.1}ms at {} ({:.1}x)",
+        small.seconds * 1e3,
+        small.modules,
+        large.seconds * 1e3,
+        large.modules,
+        scaling.ratio,
+    );
     let mut report = BenchReport {
         config: config.to_string(),
+        nproc,
         jobs: effective,
         sizes: Vec::new(),
+        scaling,
         alias,
         targets,
         sim,
@@ -472,6 +559,14 @@ fn main() -> ExitCode {
                     t.target, t.exit, report.targets[0].target, report.targets[0].exit
                 ));
             }
+        }
+        let sc = &report.scaling;
+        if sc.ratio > MAX_SCALING_RATIO {
+            failures.push(format!(
+                "scaling regime: analyze + verify grew {:.1}x from {} to {} modules \
+                 (limit {MAX_SCALING_RATIO}x)",
+                sc.ratio, sc.rows[0].modules, sc.rows[1].modules
+            ));
         }
         let a = &report.alias;
         if a.promoted_p < a.promoted_c {

@@ -2,13 +2,13 @@
 //! build (byte-compared against a local cold compile), dedup counters,
 //! stats endpoint, request timeout, graceful shutdown.
 
+use ipra_core::PaperConfig;
 use ipra_daemon::protocol::{BuildRequest, WireSource};
 use ipra_daemon::{Client, ClientError, Server, ServerOptions, WireError};
-use ipra_core::PaperConfig;
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_telemetry::Telemetry;
-use std::collections::BTreeMap;
 use ipra_workloads::scaled::scaled_program;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -76,10 +76,8 @@ fn span_events_stay_bounded_and_counters_stay_exact() {
 
     // Apart from the daemon's own, the counters are a local cold build's.
     let tele = Telemetry::new();
-    let options = CompileOptions {
-        telemetry: Some(tele.clone()),
-        ..CompileOptions::paper(PaperConfig::C)
-    };
+    let options =
+        CompileOptions { telemetry: Some(tele.clone()), ..CompileOptions::paper(PaperConfig::C) };
     compile(&sources, &options).expect("local compile");
     let remote: BTreeMap<String, u64> = client
         .stats()
