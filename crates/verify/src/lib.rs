@@ -343,31 +343,26 @@ fn own_auth(p: &Proc<'_>, desc: &TargetDesc) -> RegSet {
 /// discharged and must not leak further up).
 fn fix_auth_dirty(
     procs: &[Proc<'_>],
-    by_name: &HashMap<&str, usize>,
-    taken: &[usize],
+    callees: &Callees,
     saved: &[RegSet],
     desc: &TargetDesc,
 ) -> Vec<RegSet> {
     let mut auth: Vec<RegSet> = procs.iter().map(|p| own_auth(p, desc)).collect();
-    loop {
-        let prev = auth.clone();
-        for (i, p) in procs.iter().enumerate() {
-            let mut a = RegSet::EMPTY;
-            for inst in p.func.insts() {
-                for t in call_targets(inst, by_name, taken) {
-                    a |= prev[t];
-                }
-            }
-            a -= saved[i];
-            if p.dirs.is_cluster_root {
-                a -= p.dirs.usage.mspill;
-            }
-            auth[i] = a | own_auth(p, desc);
+    callees.solve(&mut auth, |i, auth| {
+        let p = &procs[i];
+        let mut a = callees.of[i].iter().fold(RegSet::EMPTY, |acc, &t| acc | auth[t]);
+        a -= saved[i];
+        if p.dirs.is_cluster_root {
+            a -= p.dirs.usage.mspill;
         }
-        if auth == prev {
-            return auth;
-        }
-    }
+        replace_if_changed(&mut auth[i], a | own_auth(p, desc))
+    });
+    auth
+}
+
+/// Stores `new` into `slot`; returns whether it differed.
+fn replace_if_changed(slot: &mut RegSet, new: RegSet) -> bool {
+    std::mem::replace(slot, new) != new
 }
 
 /// Least-fixpoint interprocedural clobber sets: for each procedure, the
@@ -379,62 +374,121 @@ fn fix_clobbers(
     procs: &[Proc<'_>],
     by_name: &HashMap<&str, usize>,
     taken: &[usize],
+    callees: &Callees,
     desc: &TargetDesc,
 ) -> Vec<RegSet> {
     let mut clobber: Vec<RegSet> = procs
         .iter()
         .map(|p| if p.cfg.is_some() { RegSet::EMPTY } else { worst_clobber(desc) })
         .collect();
-    loop {
-        let prev = clobber.clone();
-        for (i, p) in procs.iter().enumerate() {
-            let Some(cfg) = &p.cfg else { continue };
-            let insts = p.func.insts();
-            let flow = engine::analyze(
-                p.func,
-                cfg,
-                &|j| inst_clobbers(&insts[j], by_name, taken, &prev, desc),
-                desc,
-            );
-            let mut cl = prev[i];
-            for &e in cfg.exits() {
-                if !matches!(insts[e], Inst::Bv { .. }) {
-                    continue; // a stray HALT never returns to the caller
-                }
-                if let Some(st) = &flow.in_states[e] {
-                    for idx in 0..Reg::COUNT as u8 {
-                        let r = Reg::new(idx);
-                        if !st.holds_entry(r) {
-                            cl.insert(r);
-                        }
+    callees.solve(&mut clobber, |i, clobber| {
+        let p = &procs[i];
+        let Some(cfg) = &p.cfg else { return false };
+        let insts = p.func.insts();
+        let flow = engine::analyze(
+            p.func,
+            cfg,
+            &|j| inst_clobbers(&insts[j], by_name, taken, clobber, desc),
+            desc,
+        );
+        let mut cl = clobber[i];
+        for &e in cfg.exits() {
+            if !matches!(insts[e], Inst::Bv { .. }) {
+                continue; // a stray HALT never returns to the caller
+            }
+            if let Some(st) = &flow.in_states[e] {
+                for idx in 0..Reg::COUNT as u8 {
+                    let r = Reg::new(idx);
+                    if !st.holds_entry(r) {
+                        cl.insert(r);
                     }
                 }
             }
-            clobber[i] = cl;
         }
-        if clobber == prev {
-            return clobber;
-        }
-    }
+        replace_if_changed(&mut clobber[i], cl)
+    });
+    clobber
 }
 
-/// Every procedure's resolved callees (direct calls plus the indirect
-/// targets in `taken`), deduplicated, ascending.
-fn callee_lists(
-    procs: &[Proc<'_>],
-    by_name: &HashMap<&str, usize>,
-    taken: &[usize],
-) -> Vec<Vec<usize>> {
-    procs
-        .iter()
-        .map(|p| {
-            let mut cs: Vec<usize> =
-                p.func.insts().iter().flat_map(|i| call_targets(i, by_name, taken)).collect();
-            cs.sort_unstable();
-            cs.dedup();
-            cs
-        })
-        .collect()
+/// The resolved call graph of the machine code: every procedure's callees
+/// (direct calls plus the indirect targets in `taken`) and callers,
+/// deduplicated, plus a callee-first visiting order. Every whole-program
+/// fact the verifier derives flows from callees to callers along it.
+struct Callees {
+    /// Callees per procedure, ascending.
+    of: Vec<Vec<usize>>,
+    /// Callers per procedure, ascending.
+    callers: Vec<Vec<usize>>,
+    /// Depth-first postorder over callees: a procedure after all the
+    /// callees it reaches, except around recursive cycles.
+    order: Vec<usize>,
+}
+
+impl Callees {
+    fn new(procs: &[Proc<'_>], by_name: &HashMap<&str, usize>, taken: &[usize]) -> Callees {
+        let of: Vec<Vec<usize>> = procs
+            .iter()
+            .map(|p| {
+                let mut cs: Vec<usize> =
+                    p.func.insts().iter().flat_map(|i| call_targets(i, by_name, taken)).collect();
+                cs.sort_unstable();
+                cs.dedup();
+                cs
+            })
+            .collect();
+        let mut callers = vec![Vec::new(); of.len()];
+        for (i, cs) in of.iter().enumerate() {
+            for &t in cs {
+                callers[t].push(i);
+            }
+        }
+        let mut order = Vec::with_capacity(of.len());
+        let mut seen = vec![false; of.len()];
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..of.len() {
+            if std::mem::replace(&mut seen[root], true) {
+                continue;
+            }
+            stack.push((root, 0));
+            while let Some(&mut (v, ref mut k)) = stack.last_mut() {
+                match of[v].get(*k) {
+                    Some(&t) => {
+                        *k += 1;
+                        if !std::mem::replace(&mut seen[t], true) {
+                            stack.push((t, 0));
+                        }
+                    }
+                    None => {
+                        order.push(v);
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        Callees { of, callers, order }
+    }
+
+    /// Runs a per-procedure least fixpoint that flows from callees to
+    /// callers. `update(i, values)` recomputes procedure `i`'s value from
+    /// its callees' current values and reports whether it changed; every
+    /// update is monotone. Procedures are visited callee-first, and a
+    /// changed value puts its callers back on the worklist, so this
+    /// reaches the same fixpoint as sweeping every procedure until nothing
+    /// changes while visiting most procedures once.
+    fn solve<T>(&self, values: &mut [T], mut update: impl FnMut(usize, &mut [T]) -> bool) {
+        let mut queue: std::collections::VecDeque<usize> = self.order.iter().copied().collect();
+        let mut queued = vec![true; values.len()];
+        while let Some(i) = queue.pop_front() {
+            queued[i] = false;
+            if update(i, values) {
+                for &c in &self.callers[i] {
+                    if !std::mem::replace(&mut queued[c], true) {
+                        queue.push_back(c);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Transitively accessed global symbols per procedure, as bitsets over one
@@ -469,7 +523,7 @@ impl<'a> MemAccess<'a> {
     /// code, then closes over `callees` to the least fixpoint.
     fn compute(
         procs: &[Proc<'a>],
-        callees: &[Vec<usize>],
+        callees: &Callees,
         syms: HashMap<&'a str, usize>,
         seed: impl Fn(&'a Inst) -> Option<&'a str>,
     ) -> MemAccess<'a> {
@@ -483,21 +537,18 @@ impl<'a> MemAccess<'a> {
                 set
             })
             .collect();
-        loop {
+        callees.solve(&mut sets, |i, sets| {
+            // Taken out so callee sets can be read beside it; a self-call
+            // reads the empty placeholder, a no-op.
+            let mut acc = std::mem::replace(&mut sets[i], BitSet::new(0));
             let mut changed = false;
-            for (i, cs) in callees.iter().enumerate() {
-                // Taken out so callee sets can be read beside it; a
-                // self-call reads the empty placeholder, a no-op.
-                let mut acc = std::mem::replace(&mut sets[i], BitSet::new(0));
-                for &t in cs {
-                    changed |= acc.union_with(&sets[t]);
-                }
-                sets[i] = acc;
+            for &t in &callees.of[i] {
+                changed |= acc.union_with(&sets[t]);
             }
-            if !changed {
-                return MemAccess { syms, sets };
-            }
-        }
+            sets[i] = acc;
+            changed
+        });
+        MemAccess { syms, sets }
     }
 
     /// Does procedure `proc` (transitively) touch `sym`?
@@ -736,34 +787,32 @@ fn fix_arg_uses(
     procs: &[Proc<'_>],
     by_name: &HashMap<&str, usize>,
     taken: &[usize],
+    callees: &Callees,
     clobber: &[RegSet],
     desc: &TargetDesc,
 ) -> Vec<RegSet> {
     let all_args: RegSet = desc.args.iter().copied().collect();
     let mut arg_uses: Vec<RegSet> =
         procs.iter().map(|p| if p.cfg.is_some() { RegSet::EMPTY } else { all_args }).collect();
-    loop {
-        let prev = arg_uses.clone();
-        for (i, p) in procs.iter().enumerate() {
-            let Some(cfg) = &p.cfg else { continue };
-            let insts = p.func.insts();
-            let live = liveness::analyze(
-                p.func,
-                cfg,
-                &|j| inst_arg_uses(&insts[j], by_name, taken, &prev, all_args),
-                &|j| {
-                    let mut d = inst_clobbers(&insts[j], by_name, taken, clobber, desc);
-                    d.insert(desc.rp);
-                    d
-                },
-                desc,
-            );
-            arg_uses[i] = prev[i] | (live.live_in[0] & all_args);
-        }
-        if arg_uses == prev {
-            return arg_uses;
-        }
-    }
+    callees.solve(&mut arg_uses, |i, arg_uses| {
+        let p = &procs[i];
+        let Some(cfg) = &p.cfg else { return false };
+        let insts = p.func.insts();
+        let live = liveness::analyze(
+            p.func,
+            cfg,
+            &|j| inst_arg_uses(&insts[j], by_name, taken, arg_uses, all_args),
+            &|j| {
+                let mut d = inst_clobbers(&insts[j], by_name, taken, clobber, desc);
+                d.insert(desc.rp);
+                d
+            },
+            desc,
+        );
+        let uses = arg_uses[i] | (live.live_in[0] & all_args);
+        replace_if_changed(&mut arg_uses[i], uses)
+    });
+    arg_uses
 }
 
 /// Verifies every procedure of `modules` against `db`.
@@ -842,8 +891,8 @@ pub fn verify_modules(modules: &[ObjectModule], db: &ProgramDatabase) -> VerifyR
     let (reach, taken) = machine_reachable(&procs, &by_name);
 
     let saved: Vec<RegSet> = procs.iter().map(|p| saved_regs(p.func, desc.sp)).collect();
-    let clobber = fix_clobbers(&procs, &by_name, &taken, desc);
-    let callees = callee_lists(&procs, &by_name, &taken);
+    let callees = Callees::new(&procs, &by_name, &taken);
+    let clobber = fix_clobbers(&procs, &by_name, &taken, &callees, desc);
     let syms = MemAccess::symbols(&procs);
     let mem = MemAccess::compute(&procs, &callees, syms.clone(), |i| match i {
         Inst::Ldg { sym, .. } | Inst::Stg { sym, .. } | Inst::Lga { sym, .. } => Some(sym),
@@ -853,8 +902,8 @@ pub fn verify_modules(modules: &[ObjectModule], db: &ProgramDatabase) -> VerifyR
         Inst::Stg { sym, .. } => Some(sym),
         _ => None,
     });
-    let arg_uses = fix_arg_uses(&procs, &by_name, &taken, &clobber, desc);
-    let auth = fix_auth_dirty(&procs, &by_name, &taken, &saved, desc);
+    let arg_uses = fix_arg_uses(&procs, &by_name, &taken, &callees, &clobber, desc);
+    let auth = fix_auth_dirty(&procs, &callees, &saved, desc);
 
     // Alias-sensitive facts, restricted to code reachable from `main`:
     // which globals are promoted at all, and which of those belong to a
