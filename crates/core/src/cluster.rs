@@ -300,21 +300,17 @@ fn nearest_dominating_roots(idom: &[Option<NodeId>], is_root: &[bool]) -> Vec<Op
     let mut path: Vec<NodeId> = Vec::new();
     for start in 0..idom.len() {
         let mut cur = NodeId(start as u32);
-        let mut answer = None;
-        while nearest[cur.index()].is_none() {
+        let answer = loop {
+            if let Some(known) = nearest[cur.index()] {
+                break known;
+            }
             path.push(cur);
             match idom[cur.index()] {
-                Some(d) if d != cur && is_root[d.index()] => {
-                    answer = Some(d);
-                    break;
-                }
-                // A cycle in the chain cannot occur in a dominator tree;
-                // bail out rather than loop should one ever appear.
-                Some(d) if d != cur && path.len() <= idom.len() => cur = d,
-                _ => break,
+                Some(d) if d != cur && is_root[d.index()] => break Some(d),
+                Some(d) if d != cur => cur = d,
+                _ => break None, // start node / virtual root
             }
-        }
-        let answer = nearest[cur.index()].unwrap_or(answer);
+        };
         for n in path.drain(..) {
             nearest[n.index()] = Some(answer);
         }

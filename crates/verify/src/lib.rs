@@ -412,16 +412,13 @@ fn fix_clobbers(
 
 /// The resolved call graph of the machine code: every procedure's callees
 /// (direct calls plus the indirect targets in `taken`) and callers,
-/// deduplicated, plus a callee-first visiting order. Every whole-program
-/// fact the verifier derives flows from callees to callers along it.
+/// deduplicated. Every whole-program fact the verifier derives flows from
+/// callees to callers along it.
 struct Callees {
     /// Callees per procedure, ascending.
     of: Vec<Vec<usize>>,
     /// Callers per procedure, ascending.
     callers: Vec<Vec<usize>>,
-    /// Depth-first postorder over callees: a procedure after all the
-    /// callees it reaches, except around recursive cycles.
-    order: Vec<usize>,
 }
 
 impl Callees {
@@ -442,41 +439,18 @@ impl Callees {
                 callers[t].push(i);
             }
         }
-        let mut order = Vec::with_capacity(of.len());
-        let mut seen = vec![false; of.len()];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for root in 0..of.len() {
-            if std::mem::replace(&mut seen[root], true) {
-                continue;
-            }
-            stack.push((root, 0));
-            while let Some(&mut (v, ref mut k)) = stack.last_mut() {
-                match of[v].get(*k) {
-                    Some(&t) => {
-                        *k += 1;
-                        if !std::mem::replace(&mut seen[t], true) {
-                            stack.push((t, 0));
-                        }
-                    }
-                    None => {
-                        order.push(v);
-                        stack.pop();
-                    }
-                }
-            }
-        }
-        Callees { of, callers, order }
+        Callees { of, callers }
     }
 
     /// Runs a per-procedure least fixpoint that flows from callees to
     /// callers. `update(i, values)` recomputes procedure `i`'s value from
     /// its callees' current values and reports whether it changed; every
-    /// update is monotone. Procedures are visited callee-first, and a
-    /// changed value puts its callers back on the worklist, so this
-    /// reaches the same fixpoint as sweeping every procedure until nothing
-    /// changes while visiting most procedures once.
+    /// update is monotone. Every procedure is visited once, in definition
+    /// order, and a changed value puts its callers back on the worklist, so
+    /// this reaches the fixpoint that sweeping every procedure until
+    /// nothing changes reaches, revisiting only callers of changed values.
     fn solve<T>(&self, values: &mut [T], mut update: impl FnMut(usize, &mut [T]) -> bool) {
-        let mut queue: std::collections::VecDeque<usize> = self.order.iter().copied().collect();
+        let mut queue: std::collections::VecDeque<usize> = (0..values.len()).collect();
         let mut queued = vec![true; values.len()];
         while let Some(i) = queue.pop_front() {
             queued[i] = false;
