@@ -331,7 +331,7 @@ impl RefSets {
 
 /// The least sets `X` with `X[p] ⊇ X[q] ∪ L_REF[q]` for every `q` in
 /// `next(p)`, swept in `order` until nothing changes. Each set is unioned
-/// in place, so a sweep allocates nothing.
+/// in place rather than rebuilt per visit.
 fn propagate<I: Iterator<Item = NodeId>>(
     l_ref: &[BitSet],
     cap: usize,
