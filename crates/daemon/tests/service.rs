@@ -170,3 +170,77 @@ fn builds_during_shutdown_are_refused_but_in_flight_work_drains() {
     }
     server.wait();
 }
+
+/// The `daemon.shard{i}.*` counters of a one-shard, size-capped daemon,
+/// checked exactly after each kind of request: a cold and a warm build, a
+/// profile-fed build (two legs), a build that evicts, and a build whose
+/// source fails to compile. Counters that never moved stay unexported.
+#[test]
+fn shard_counters_account_every_kind_of_build() {
+    let opts = ServerOptions {
+        shards: 1,
+        capacity: Some(4),
+        ..ServerOptions::new(sock("shard-counters"))
+    };
+    let server = Server::start(opts).expect("server start");
+    let mut client = Client::connect(server.socket()).expect("connect");
+    let request = |config: &str, sources: &[SourceFile]| BuildRequest {
+        config: config.to_string(),
+        optimize: true,
+        sources: wire_sources(sources),
+        training_input: Vec::new(),
+    };
+    let mut shard_counters = |want: &[(&str, u64)]| {
+        let got: BTreeMap<String, u64> = client
+            .stats()
+            .expect("stats")
+            .into_iter()
+            .filter(|c| c.name.starts_with("daemon.shard"))
+            .map(|c| (c.name, c.value))
+            .collect();
+        let want: BTreeMap<String, u64> =
+            want.iter().map(|&(k, v)| (format!("daemon.shard0.{k}"), v)).collect();
+        assert_eq!(got, want);
+    };
+    let three = scaled_program(3);
+    let mut builder = Client::connect(server.socket()).expect("connect");
+
+    builder.build(&request("C", &three)).expect("cold build");
+    shard_counters(&[("p1.misses", 3), ("p2.misses", 3)]);
+
+    builder.build(&request("C", &three)).expect("warm build");
+    shard_counters(&[("p1.hits", 3), ("p1.misses", 3), ("p2.hits", 3), ("p2.misses", 3)]);
+
+    // B trains at L2 and rebuilds with the profile: both legs count.
+    builder.build(&request("B", &three)).expect("profile-fed build");
+    shard_counters(&[("p1.hits", 9), ("p1.misses", 3), ("p2.hits", 3), ("p2.misses", 9)]);
+
+    // Six modules through a four-entry cap evict from both tiers.
+    builder.build(&request("C", &scaled_program(6))).expect("evicting build");
+    shard_counters(&[
+        ("p1.evictions", 2),
+        ("p1.hits", 11),
+        ("p1.misses", 7),
+        ("p2.evictions", 2),
+        ("p2.hits", 3),
+        ("p2.misses", 15),
+    ]);
+
+    // A module that fails to parse: phase 1 still counts every module it
+    // probed, and phase 2 never runs.
+    let mut broken = scaled_program(3);
+    broken[1].text = "int f( {".to_string();
+    match builder.build(&request("C", &broken)) {
+        Err(ClientError::Server(WireError::Compile(_))) => {}
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+    shard_counters(&[
+        ("p1.evictions", 3),
+        ("p1.hits", 11),
+        ("p1.misses", 10),
+        ("p2.evictions", 2),
+        ("p2.hits", 3),
+        ("p2.misses", 15),
+    ]);
+    server.stop();
+}
