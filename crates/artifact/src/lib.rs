@@ -36,9 +36,14 @@
 //! value twice yields identical bytes: artifacts are safe cache keys and
 //! byte-comparable across machines and runs.
 //!
+//! The binary side — cache entries and `cmind` wire messages — shares one
+//! length-prefixed, checksummed codec, [`frame`].
+//!
 //! [`BTreeMap`]: std::collections::BTreeMap
 
 #![warn(missing_docs)]
+
+pub mod frame;
 
 use ipra_core::fingerprint::fingerprint_str;
 use ipra_core::ProgramDatabase;

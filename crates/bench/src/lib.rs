@@ -21,7 +21,8 @@
 use ipra_core::analyzer::{AnalyzerOptions, PromotionMode};
 use ipra_core::PaperConfig;
 use ipra_driver::{
-    collect_profile, compile, run_program, CompileOptions, CompiledProgram, SourceFile,
+    compile, compile_configured, run_program, CompilationCache, CompileOptions, CompiledProgram,
+    SourceFile,
 };
 use ipra_workloads::Workload;
 use std::fmt::Write as _;
@@ -73,14 +74,15 @@ pub fn measure_workload(w: &Workload, fast: bool) -> WorkloadRow {
         }
     };
 
-    let l2 = compile(&w.sources, &CompileOptions::paper(PaperConfig::L2))
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let baseline = run(&l2);
-
-    // Profile for B/F comes from a training run of the baseline.
-    let training =
-        run_program(&l2, &w.training_input).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let profile = collect_profile(&l2, &training);
+    // One cache for every configuration: B/F train on a baseline build
+    // whose phases the other configurations already compiled.
+    let mut cache = CompilationCache::new();
+    let mut build = |config: PaperConfig| {
+        compile_configured(&w.sources, config, &w.training_input, &Default::default(), &mut cache)
+            .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
+            .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name))
+    };
+    let baseline = run(&build(PaperConfig::L2));
 
     let mut configs = Vec::new();
     let mut stats_c = None;
@@ -89,12 +91,7 @@ pub fn measure_workload(w: &Workload, fast: bool) -> WorkloadRow {
         if config == PaperConfig::L2 {
             continue;
         }
-        let opts = if config.wants_profile() {
-            CompileOptions::paper_with_profile(config, profile.clone())
-        } else {
-            CompileOptions::paper(config)
-        };
-        let p = compile(&w.sources, &opts).unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name));
+        let p = build(config);
         if config == PaperConfig::C {
             stats_c = Some(p.stats.clone());
         }
@@ -317,7 +314,7 @@ pub fn ablation_table(workloads: &[Workload], fast: bool) -> String {
         for (_, opts) in &variants {
             let p = compile(
                 &w.sources,
-                &CompileOptions { analyzer: Some(opts.clone()), ..Default::default() },
+                &CompileOptions { analyzer: opts.clone(), ..Default::default() },
             )
             .expect("compile");
             let r = run_program(&p, input).expect("run");
@@ -406,9 +403,8 @@ mod tests {
     fn ablation_variants_all_run() {
         let w = ipra_workloads::dhrystone();
         for (label, opts) in ablation_variants() {
-            let p =
-                compile(&w.sources, &CompileOptions { analyzer: Some(opts), ..Default::default() })
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let p = compile(&w.sources, &CompileOptions { analyzer: opts, ..Default::default() })
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let r = run_program(&p, &w.training_input).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(!r.output.is_empty(), "{label}");
         }

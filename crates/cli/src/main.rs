@@ -236,22 +236,16 @@ pub(crate) fn module_name(path: &str) -> String {
         .unwrap_or_else(|| "module".into())
 }
 
-fn config_by_name(name: Option<&str>) -> Result<PaperConfig, String> {
-    match name {
-        None | Some("L2") => Ok(PaperConfig::L2),
-        Some("A") => Ok(PaperConfig::A),
-        Some("B") => Ok(PaperConfig::B),
-        Some("C") => Ok(PaperConfig::C),
-        Some("D") => Ok(PaperConfig::D),
-        Some("E") => Ok(PaperConfig::E),
-        Some("F") => Ok(PaperConfig::F),
-        Some("P") => Ok(PaperConfig::P),
-        Some(other) => Err(format!("unknown config `{other}`")),
+/// Resolves a config flag's value (default: L2).
+fn config_flag(args: &[String], flag: &str) -> Result<PaperConfig, String> {
+    match flag_value(args, flag) {
+        None => Ok(PaperConfig::L2),
+        Some(name) => PaperConfig::parse(&name).ok_or(format!("unknown config `{name}`")),
     }
 }
 
 fn parse_config(args: &[String]) -> Result<PaperConfig, String> {
-    config_by_name(flag_value(args, "--config").as_deref())
+    config_flag(args, "--config")
 }
 
 /// Resolves `--target` to a machine description id (default: VPR).
@@ -536,10 +530,9 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
     if srcs.is_empty() {
         return Err("report needs at least one source file".into());
     }
-    let config_a = config_by_name(flag_value(args, "--config-a").as_deref())?;
-    let config_b = config_by_name(Some(
-        flag_value(args, "--config-b").ok_or("report needs --config-b <config>")?.as_str(),
-    ))?;
+    let config_a = config_flag(args, "--config-a")?;
+    flag_value(args, "--config-b").ok_or("report needs --config-b <config>")?;
+    let config_b = config_flag(args, "--config-b")?;
     let input = parse_input(args)?;
     let sources = read_sources(&srcs)?;
     let report = ipra_driver::diff_report(&sources, config_a, config_b, &input, 1)

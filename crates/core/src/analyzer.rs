@@ -106,6 +106,12 @@ impl PaperConfig {
             PaperConfig::P => "P",
         }
     }
+
+    /// Parses a table column label (the `--config` spelling and the
+    /// daemon's wire name).
+    pub fn parse(s: &str) -> Option<PaperConfig> {
+        PaperConfig::ALL_WITH_ALIAS.into_iter().find(|c| c.label() == s)
+    }
 }
 
 impl std::fmt::Display for PaperConfig {
@@ -922,6 +928,16 @@ mod tests {
         assert_eq!(PaperConfig::L2.to_string(), "L2");
         assert_eq!(PaperConfig::P.to_string(), "P");
         assert!(!PaperConfig::P.wants_profile());
+    }
+
+    #[test]
+    fn config_labels_parse_back() {
+        for config in PaperConfig::ALL_WITH_ALIAS {
+            assert_eq!(PaperConfig::parse(config.label()), Some(config));
+        }
+        for bad in ["", "l2", "c", "G", "L2 "] {
+            assert_eq!(PaperConfig::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

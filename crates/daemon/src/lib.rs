@@ -6,8 +6,8 @@
 //! client's build. This crate provides it in three layers:
 //!
 //! * [`protocol`] — the wire format: length-prefixed, checksummed binary
-//!   frames (the PR-7 positional codec) over a Unix-domain socket, with a
-//!   typed [`ProtocolError`](protocol::ProtocolError) for every way a
+//!   frames (the codec the cache tier uses, [`ipra_artifact::frame`]) over
+//!   a Unix-domain socket, with a typed [`ProtocolError`] for every way a
 //!   frame can be rejected;
 //! * [`server`] — the daemon: a sharded, size-capped, LRU-evicting
 //!   [`CompilationCache`](ipra_driver::CompilationCache) shared by every
@@ -33,4 +33,4 @@ pub use protocol::{
     BuildRequest, BuildResponse, Counter, ProtocolError, Request, Response, StatsResponse,
     WireError, WireSource,
 };
-pub use server::{parse_config_name, Server, ServerOptions};
+pub use server::{Server, ServerOptions};

@@ -1,9 +1,8 @@
 //! The `cmind` wire protocol: length-prefixed, checksummed binary frames
 //! over a Unix-domain socket.
 //!
-//! The frame layout deliberately mirrors the persistent cache tier's
-//! ([`ipra_driver`]'s `framed` module) — the same shape that already
-//! survives corruption testing there:
+//! Frames use the codec the persistent cache tier uses too
+//! ([`ipra_artifact::frame`]), under `cmind`'s own magic and version:
 //!
 //! ```text
 //! magic "CMND" | version u8 | tag u8 | payload_len u32 | payload | fnv64(payload)
@@ -12,8 +11,7 @@
 //! All integers are little-endian. `tag` separates requests from responses
 //! so a frame can never deserialize as the wrong direction. Payloads are
 //! the derive-emitted positional binary codec ([`serde::BinSerialize`] /
-//! [`serde::BinDeserialize`]) — the PR-7 codec the cache tier uses, not
-//! JSON.
+//! [`serde::BinDeserialize`]), not JSON.
 //!
 //! Unlike the cache tier (where any mismatch is just a miss), a protocol
 //! peer needs to know *why* a frame was rejected, so every check failure
@@ -23,9 +21,12 @@
 //! The length prefix is validated against [`MAX_FRAME`] *before* the
 //! payload is read, so a hostile or corrupt prefix cannot balloon memory.
 
+use ipra_artifact::frame::{FrameError, FrameFormat};
 use ipra_core::fingerprint::Fnv64;
-use serde::{BinDeserialize, BinSerialize, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::io::Read;
+
+pub use ipra_artifact::frame::HEADER_LEN;
 
 /// Frame magic: `cmind`'s four-byte signature.
 pub const MAGIC: [u8; 4] = *b"CMND";
@@ -39,81 +40,13 @@ pub const TAG_RESPONSE: u8 = 2;
 /// Hard cap on a frame's payload length. A length prefix above this is
 /// rejected before any allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
-/// Bytes before the payload: magic, version, tag, length prefix.
-pub const HEADER_LEN: usize = 10;
 
-/// Why a frame was rejected. Every decoder check failure maps to exactly
-/// one variant; [`kind`](ProtocolError::kind) gives the stable short name
-/// the corpus tests and counters key on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// The first four bytes were not [`MAGIC`].
-    BadMagic([u8; 4]),
-    /// A version byte other than [`VERSION`] (e.g. a v1 prototype frame).
-    UnsupportedVersion(u8),
-    /// A tag byte other than the expected direction's tag.
-    UnknownTag(u8),
-    /// The length prefix claimed more than [`MAX_FRAME`] payload bytes.
-    Oversize(u32),
-    /// The frame ended before its declared length (byte counts are for the
-    /// whole frame including header and checksum).
-    Truncated {
-        /// Whole-frame bytes the header promised.
-        need: usize,
-        /// Whole-frame bytes actually present.
-        have: usize,
-    },
-    /// The payload's FNV-64 checksum did not match.
-    Checksum,
-    /// The payload failed to deserialize as the tagged type.
-    Decode(String),
-    /// The payload decoded but left unconsumed bytes (a codec bug or a
-    /// foreign encoder; treated as corruption).
-    TrailingBytes(usize),
-    /// An I/O error on the socket.
-    Io(String),
-}
+const FRAMES: FrameFormat = FrameFormat { magic: MAGIC, version: VERSION, max_payload: MAX_FRAME };
 
-impl ProtocolError {
-    /// Stable short name for counters and corpus expectations.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProtocolError::BadMagic(_) => "bad-magic",
-            ProtocolError::UnsupportedVersion(_) => "unsupported-version",
-            ProtocolError::UnknownTag(_) => "unknown-tag",
-            ProtocolError::Oversize(_) => "oversize",
-            ProtocolError::Truncated { .. } => "truncated",
-            ProtocolError::Checksum => "checksum",
-            ProtocolError::Decode(_) => "decode",
-            ProtocolError::TrailingBytes(_) => "trailing-bytes",
-            ProtocolError::Io(_) => "io",
-        }
-    }
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtocolError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
-            ProtocolError::UnsupportedVersion(v) => write!(f, "unsupported protocol version {v}"),
-            ProtocolError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
-            ProtocolError::Oversize(n) => {
-                write!(f, "frame payload length {n} exceeds the {MAX_FRAME}-byte cap")
-            }
-            ProtocolError::Truncated { need, have } => {
-                write!(f, "truncated frame: need {need} bytes, have {have}")
-            }
-            ProtocolError::Checksum => write!(f, "frame checksum mismatch"),
-            ProtocolError::Decode(d) => write!(f, "frame payload malformed: {d}"),
-            ProtocolError::TrailingBytes(n) => {
-                write!(f, "frame payload has {n} trailing bytes")
-            }
-            ProtocolError::Io(d) => write!(f, "socket i/o: {d}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
+/// Why a frame was rejected: the frame codec's typed error. Every decoder
+/// check failure maps to exactly one variant; [`kind`](FrameError::kind)
+/// gives the stable short name the corpus tests and counters key on.
+pub type ProtocolError = FrameError;
 
 /// One module source on the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -249,28 +182,6 @@ pub enum Response {
     Error(WireError),
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Encodes `value` as a self-checking frame with the given tag.
-pub fn encode_frame<T: BinSerialize>(tag: u8, value: &T) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(256);
-    value.bin_serialize(&mut payload);
-    assert!(payload.len() <= MAX_FRAME as usize, "frame payload exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN + 8);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let checksum = fnv64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
 /// Validates a header and returns the declared payload length.
 ///
 /// # Errors
@@ -278,83 +189,35 @@ pub fn encode_frame<T: BinSerialize>(tag: u8, value: &T) -> Vec<u8> {
 /// The typed [`ProtocolError`] for the first check that fails; checks run
 /// in wire order (magic, version, tag, length cap).
 pub fn check_header(header: &[u8; HEADER_LEN], expect_tag: u8) -> Result<usize, ProtocolError> {
-    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic(magic));
-    }
-    if header[4] != VERSION {
-        return Err(ProtocolError::UnsupportedVersion(header[4]));
-    }
-    if header[5] != expect_tag {
-        return Err(ProtocolError::UnknownTag(header[5]));
-    }
-    let payload_len = u32::from_le_bytes(header[6..10].try_into().expect("4-byte slice"));
-    if payload_len > MAX_FRAME {
-        return Err(ProtocolError::Oversize(payload_len));
-    }
-    Ok(payload_len as usize)
-}
-
-/// Decodes a complete frame of the expected tag into its payload type.
-///
-/// # Errors
-///
-/// The typed [`ProtocolError`] for the first failing check: header checks
-/// (see [`check_header`]), then whole-frame length, checksum, payload
-/// decode, and trailing-byte strictness.
-pub fn decode_frame<T: BinDeserialize>(bytes: &[u8], expect_tag: u8) -> Result<T, ProtocolError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ProtocolError::Truncated { need: HEADER_LEN, have: bytes.len() });
-    }
-    let header: [u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("header slice");
-    let payload_len = check_header(&header, expect_tag)?;
-    let need = HEADER_LEN + payload_len + 8;
-    if bytes.len() < need {
-        return Err(ProtocolError::Truncated { need, have: bytes.len() });
-    }
-    if bytes.len() > need {
-        return Err(ProtocolError::TrailingBytes(bytes.len() - need));
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let checksum = u64::from_le_bytes(bytes[need - 8..].try_into().expect("8-byte slice"));
-    if checksum != fnv64(payload) {
-        return Err(ProtocolError::Checksum);
-    }
-    let mut cursor = payload;
-    let value =
-        T::bin_deserialize(&mut cursor).map_err(|e| ProtocolError::Decode(e.to_string()))?;
-    if !cursor.is_empty() {
-        return Err(ProtocolError::TrailingBytes(cursor.len()));
-    }
-    Ok(value)
+    FRAMES.check_header(header, expect_tag)
 }
 
 /// Encodes a request frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_frame(TAG_REQUEST, req)
+    FRAMES.encode(TAG_REQUEST, req)
 }
 
 /// Decodes a request frame.
 ///
 /// # Errors
 ///
-/// Any [`ProtocolError`] (see [`decode_frame`]).
+/// Any [`ProtocolError`] (see [`FrameFormat::decode`]).
 pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtocolError> {
-    decode_frame(bytes, TAG_REQUEST)
+    FRAMES.decode(bytes, TAG_REQUEST)
 }
 
 /// Encodes a response frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_frame(TAG_RESPONSE, resp)
+    FRAMES.encode(TAG_RESPONSE, resp)
 }
 
 /// Decodes a response frame.
 ///
 /// # Errors
 ///
-/// Any [`ProtocolError`] (see [`decode_frame`]).
+/// Any [`ProtocolError`] (see [`FrameFormat::decode`]).
 pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtocolError> {
-    decode_frame(bytes, TAG_RESPONSE)
+    FRAMES.decode(bytes, TAG_RESPONSE)
 }
 
 /// Fills `buf` from `r`, tolerating short reads; returns how many bytes
@@ -407,8 +270,9 @@ pub fn executable_artifact(exe: &vpr::program::Executable) -> (String, u64) {
         ipra_artifact::ArtifactKind::Executable,
         &ipra_artifact::ExecutableArtifact { exe: exe.clone() },
     );
-    let fp = fnv64(text.as_bytes());
-    (text, fp)
+    let mut h = Fnv64::new();
+    h.write(text.as_bytes());
+    (text, h.finish())
 }
 
 #[cfg(test)]

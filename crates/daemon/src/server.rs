@@ -35,7 +35,7 @@ use crate::protocol::{
     WireError, HEADER_LEN, TAG_REQUEST,
 };
 use ipra_core::analyzer::PaperConfig;
-use ipra_driver::{CacheStats, CompilationCache, CompileOptions, SourceFile};
+use ipra_driver::{CompilationCache, CompileOptions, SourceFile};
 use ipra_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -431,9 +431,10 @@ fn wait_for_slot(slot: &Inflight, timeout: Option<Duration>) -> Result<BuildResp
 }
 
 /// The leader's computation: pick the fingerprint's shard, compile under
-/// its lock, export per-shard counter deltas, package the `.vx` artifact.
+/// its lock, export per-shard counters, package the `.vx` artifact.
 fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildResponse, WireError> {
-    let config = parse_config_name(&req.config)?;
+    let config = PaperConfig::parse(&req.config)
+        .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
     if req.sources.is_empty() {
         return Err(WireError::BadRequest("no modules in request".to_string()));
     }
@@ -455,7 +456,6 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
     };
     let shard_index = (fp % shared.shards.len() as u64) as usize;
     let mut cache = shared.shards[shard_index].lock().expect("shard lock");
-    let before = cache.stats();
     let built = ipra_driver::compile_configured(
         &sources,
         config,
@@ -463,12 +463,11 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
         &options,
         &mut cache,
     );
-    let after = cache.stats();
     drop(cache);
     for (name, value) in build_tele.counters() {
         shared.tele.add(&name, value);
+        export_shard_counter(&shared.tele, shard_index, &name, value);
     }
-    export_shard_counters(&shared.tele, shard_index, before, after);
     shared.tele.add("daemon.builds", 1);
     let program = match built {
         Ok(Ok(program)) => program,
@@ -484,38 +483,18 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
     })
 }
 
-fn export_shard_counters(tele: &Telemetry, shard: usize, before: CacheStats, after: CacheStats) {
-    let deltas = [
-        ("p1.hits", after.phase1_hits - before.phase1_hits),
-        ("p1.misses", after.phase1_misses - before.phase1_misses),
-        ("p1.evictions", after.phase1_evictions - before.phase1_evictions),
-        ("p2.hits", after.phase2_hits - before.phase2_hits),
-        ("p2.misses", after.phase2_misses - before.phase2_misses),
-        ("p2.evictions", after.phase2_evictions - before.phase2_evictions),
-    ];
-    for (name, delta) in deltas {
-        if delta > 0 {
-            tele.add(&format!("daemon.shard{shard}.{name}"), delta);
-        }
-    }
-}
-
-/// Maps a wire config name to a [`PaperConfig`] (same table as `cminc`'s
-/// `--config` flag).
-///
-/// # Errors
-///
-/// [`WireError::BadRequest`] for an unknown name.
-pub fn parse_config_name(name: &str) -> Result<PaperConfig, WireError> {
-    match name {
-        "L2" => Ok(PaperConfig::L2),
-        "A" => Ok(PaperConfig::A),
-        "B" => Ok(PaperConfig::B),
-        "C" => Ok(PaperConfig::C),
-        "D" => Ok(PaperConfig::D),
-        "E" => Ok(PaperConfig::E),
-        "F" => Ok(PaperConfig::F),
-        "P" => Ok(PaperConfig::P),
-        other => Err(WireError::BadRequest(format!("unknown config `{other}`"))),
+/// Mirrors one of a build's phase counters (`phase1.hits` …
+/// `phase2.evictions`; a failed build counts the phases that ran) as the
+/// shard's `daemon.shard{i}.p1.hits` … `.p2.evictions`. Zero counts stay
+/// unexported.
+fn export_shard_counter(tele: &Telemetry, shard: usize, name: &str, value: u64) {
+    let Some((phase, what)) = name.split_once('.') else { return };
+    let short = match phase {
+        "phase1" => "p1",
+        "phase2" => "p2",
+        _ => return,
+    };
+    if value > 0 && matches!(what, "hits" | "misses" | "evictions") {
+        tele.add(&format!("daemon.shard{shard}.{short}.{what}"), value);
     }
 }

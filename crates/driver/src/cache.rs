@@ -6,11 +6,15 @@
 //!   source-content fingerprint, phase 2 on (IR fingerprint,
 //!   database-slice fingerprint) — serving repeated builds inside one
 //!   process;
-//! * an optional **on-disk** tier ([`DiskCache`], enabled through
+//! * an optional **on-disk** tier (enabled through
 //!   [`CompilationCache::with_disk`] / `cminc --cache-dir`) holding the
 //!   same entries content-addressed by their keys, so the fingerprints
 //!   persist across *process* invocations: a one-module edit in a fresh
 //!   `cminc` run recompiles only modules whose directive slices moved.
+//!
+//! Every lookup and store counts itself into the [`PhaseStats`] of the
+//! build that made it — hits, disk hits, misses, evictions — so a build's
+//! [`BuildReport`] is the one record of what the cache did for it.
 //!
 //! Reuse across builds — including builds at *different*
 //! [`PaperConfig`](ipra_core::analyzer::PaperConfig)s — is sound because a
@@ -18,6 +22,7 @@
 //! directives.
 
 use cmin_ir::IrModule;
+use ipra_artifact::frame::FrameFormat;
 use ipra_core::fingerprint::Fnv64;
 use ipra_summary::ModuleSummary;
 use ipra_telemetry::Telemetry;
@@ -78,23 +83,6 @@ pub struct BuildReport {
     pub recompiled: Vec<String>,
 }
 
-/// Cumulative hit/miss counters across every build a cache has served.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Phase-1 cache hits.
-    pub phase1_hits: u64,
-    /// Phase-1 cache misses.
-    pub phase1_misses: u64,
-    /// Phase-2 cache hits.
-    pub phase2_hits: u64,
-    /// Phase-2 cache misses.
-    pub phase2_misses: u64,
-    /// Phase-1 entries evicted from the in-memory tier by the size cap.
-    pub phase1_evictions: u64,
-    /// Phase-2 entries evicted from the in-memory tier by the size cap.
-    pub phase2_evictions: u64,
-}
-
 /// Everything phase 1 produces for one module, plus the fingerprints that
 /// decide whether it (and its phase 2) can be reused.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -117,9 +105,22 @@ pub(crate) struct Phase2Entry {
     pub(crate) object: ObjectModule,
 }
 
-/// The persistent tier: cache entries as length-prefixed binary frames
-/// ([`crate::framed`]) content-addressed by their fingerprint keys under
-/// `p1/` and `p2/` of a cache directory.
+/// The disk tier's frames ([`ipra_artifact::frame`]): the positional
+/// binary codec straight between structs and bytes, so a disk-warm build
+/// decodes each entry once and stays faster than compiling. The payload
+/// cap is the length prefix's own limit.
+///
+/// v3: `RegSet`'s positional binary encoding widened from 4 to 8 bytes
+/// with the u64 backing; v2 frames from older cache directories must read
+/// as misses, not as shifted garbage (v1 frames held a `Value` tree).
+const FRAMES: FrameFormat = FrameFormat { magic: *b"IPRF", version: 3, max_payload: u32::MAX };
+/// Frame tag for phase-1 entries: a phase-1 frame never decodes as phase 2.
+const TAG_PHASE1: u8 = 1;
+/// Frame tag for phase-2 entries.
+const TAG_PHASE2: u8 = 2;
+
+/// The persistent tier: cache entries as binary frames content-addressed
+/// by their fingerprint keys under `p1/` and `p2/` of a cache directory.
 ///
 /// Because file names *are* the keys, concurrent writers can only race on
 /// identical content, and a load checks the frame's checksum and
@@ -128,13 +129,13 @@ pub(crate) struct Phase2Entry {
 /// object.
 ///
 /// Stores are *batched*: entries are encoded immediately but buffered in
-/// memory and written out together by [`DiskCache::flush`] (the driver
-/// flushes at the end of each build, and `Drop` flushes whatever remains),
+/// memory and written out together by `flush` (the driver flushes at the
+/// end of each build, and `Drop` flushes whatever remains),
 /// so a build issues one burst of writes instead of interleaving I/O with
 /// compilation. Same-build reuse is unaffected — the in-memory tier serves
 /// entries the current process computed.
 #[derive(Debug)]
-pub struct DiskCache {
+pub(crate) struct DiskCache {
     root: PathBuf,
     pending: Vec<(PathBuf, Vec<u8>)>,
     /// Telemetry sink for tier traffic (reads/writes with byte counts);
@@ -143,12 +144,9 @@ pub struct DiskCache {
 }
 
 impl DiskCache {
-    /// Opens (creating if needed) a cache directory.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating `root`, `root/p1` or `root/p2`.
-    pub fn open(root: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
+    /// Opens (creating if needed) a cache directory: any I/O error creating
+    /// `root`, `root/p1` or `root/p2` is returned.
+    fn open(root: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
         let root = root.into();
         std::fs::create_dir_all(root.join("p1"))?;
         std::fs::create_dir_all(root.join("p2"))?;
@@ -156,7 +154,7 @@ impl DiskCache {
     }
 
     /// The cache directory this tier persists under.
-    pub fn root(&self) -> &Path {
+    fn root(&self) -> &Path {
         &self.root
     }
 
@@ -184,38 +182,39 @@ impl DiskCache {
         }
     }
 
-    pub(crate) fn load_phase1(&self, key: u64) -> Option<Phase1Entry> {
+    /// Loads one entry; any decode error, or embedded fingerprints that do
+    /// not match the requested key, is a miss.
+    fn load_phase1(&self, key: u64) -> Option<Phase1Entry> {
         let bytes = std::fs::read(self.phase1_path(key)).ok()?;
-        let e: Option<Phase1Entry> =
-            crate::framed::decode_frame(&bytes, crate::framed::KIND_PHASE1)
-                .filter(|e: &Phase1Entry| e.key == key);
+        let e = FRAMES.decode(&bytes, TAG_PHASE1).ok().filter(|e: &Phase1Entry| e.key == key);
         self.count_load(&bytes, &e);
         e
     }
 
-    pub(crate) fn store_phase1(&mut self, entry: &Phase1Entry) {
-        let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE1, entry);
+    fn store_phase1(&mut self, entry: &Phase1Entry) {
+        let frame = FRAMES.encode(TAG_PHASE1, entry);
         self.count_store(&frame);
         self.pending.push((self.phase1_path(entry.key), frame));
     }
 
-    pub(crate) fn load_phase2(&self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
+    fn load_phase2(&self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
         let bytes = std::fs::read(self.phase2_path(ir_fp, db_fp)).ok()?;
-        let e: Option<Phase2Entry> =
-            crate::framed::decode_frame(&bytes, crate::framed::KIND_PHASE2)
-                .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp);
+        let e = FRAMES
+            .decode(&bytes, TAG_PHASE2)
+            .ok()
+            .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp);
         self.count_load(&bytes, &e);
         e
     }
 
-    pub(crate) fn store_phase2(&mut self, entry: &Phase2Entry) {
-        let frame = crate::framed::encode_frame(crate::framed::KIND_PHASE2, entry);
+    fn store_phase2(&mut self, entry: &Phase2Entry) {
+        let frame = FRAMES.encode(TAG_PHASE2, entry);
         self.count_store(&frame);
         self.pending.push((self.phase2_path(entry.ir_fp, entry.db_fp), frame));
     }
 
     /// Records one buffered disk-tier store (counted at encode time; the
-    /// actual write happens at [`flush`](DiskCache::flush)).
+    /// actual write happens at `flush`).
     fn count_store(&self, frame: &[u8]) {
         if let Some(t) = &self.tele {
             t.add("cache.disk.writes", 1);
@@ -225,7 +224,7 @@ impl DiskCache {
 
     /// Writes all buffered entries to disk. Best-effort per entry: a failed
     /// write leaves the disk tier cold for that key, not wrong.
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         let _s = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
         for (path, bytes) in self.pending.drain(..) {
             let _ = std::fs::write(path, bytes);
@@ -240,14 +239,13 @@ impl Drop for DiskCache {
 }
 
 /// The incremental recompilation cache: the in-memory tier plus an
-/// optional [`DiskCache`] behind it (see the module docs).
+/// optional on-disk tier behind it (see the module docs).
 #[derive(Debug, Default)]
 pub struct CompilationCache {
-    pub(crate) phase1: HashMap<String, Arc<Phase1Entry>>,
-    pub(crate) phase2: HashMap<String, Phase2Entry>,
-    pub(crate) stats: CacheStats,
-    pub(crate) disk: Option<DiskCache>,
-    pub(crate) tele: Option<Telemetry>,
+    phase1: HashMap<String, Arc<Phase1Entry>>,
+    phase2: HashMap<String, Phase2Entry>,
+    disk: Option<DiskCache>,
+    tele: Option<Telemetry>,
     /// In-memory size cap, in entries *per tier map* (`None` = unbounded).
     capacity: Option<usize>,
     /// Monotonic operation clock driving LRU order; bumped on every hit,
@@ -275,21 +273,16 @@ impl CompilationCache {
         Ok(CompilationCache { disk: Some(DiskCache::open(dir)?), ..CompilationCache::default() })
     }
 
-    /// An empty, memory-only cache that holds at most `cap` entries per
-    /// tier map, evicting least-recently-used entries past that (`cap` is
-    /// clamped to at least 1). See [`set_capacity`](Self::set_capacity).
-    pub fn with_capacity(cap: usize) -> CompilationCache {
-        CompilationCache { capacity: Some(cap.max(1)), ..CompilationCache::default() }
-    }
-
     /// The on-disk tier's directory, when one is attached.
     pub fn cache_dir(&self) -> Option<&Path> {
         self.disk.as_ref().map(DiskCache::root)
     }
 
-    /// Sets (or removes, with `None`) the in-memory size cap and enforces
-    /// it immediately. The cap bounds each tier map separately — a cache
-    /// with capacity `n` keeps at most `n` phase-1 and `n` phase-2 entries.
+    /// Sets (or removes, with `None`) the in-memory size cap, clamped to at
+    /// least 1, and enforces it immediately (evictions made here count only
+    /// into the attached telemetry). The cap bounds each tier map
+    /// separately — a cache with capacity `n` keeps at most `n` phase-1
+    /// and `n` phase-2 entries.
     ///
     /// Eviction is LRU with a deterministic order: recency is a monotonic
     /// per-operation tick (not wall clock), and the victim is the entry
@@ -303,13 +296,6 @@ impl CompilationCache {
         let e2 = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
         self.count_evictions("cache.p1.evictions", e1);
         self.count_evictions("cache.p2.evictions", e2);
-        self.stats.phase1_evictions += e1;
-        self.stats.phase2_evictions += e2;
-    }
-
-    /// The in-memory size cap, if one is set.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Attaches (or detaches, with `None`) a telemetry collector. Cache
@@ -335,10 +321,10 @@ impl CompilationCache {
         }
     }
 
-    fn count_evictions(&self, key: &str, n: u64) {
+    fn count_evictions(&self, key: &str, n: usize) {
         if n > 0 {
             if let Some(t) = &self.tele {
-                t.add(key, n);
+                t.add(key, n as u64);
             }
         }
     }
@@ -352,7 +338,7 @@ impl CompilationCache {
         cap: Option<usize>,
         map: &mut HashMap<String, T>,
         used: &mut HashMap<String, u64>,
-    ) -> u64 {
+    ) -> usize {
         let Some(cap) = cap else { return 0 };
         let mut evicted = 0;
         while map.len() > cap {
@@ -379,32 +365,8 @@ impl CompilationCache {
         self.used2.insert(name.to_string(), self.tick);
     }
 
-    /// Drops all in-memory cached phase results (counters survive; the
-    /// on-disk tier, if any, is untouched).
-    pub fn clear(&mut self) {
-        self.phase1.clear();
-        self.phase2.clear();
-        self.used1.clear();
-        self.used2.clear();
-    }
-
-    /// Cumulative hit/miss counters across all builds served so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of modules with a cached first phase (in memory).
-    pub fn len(&self) -> usize {
-        self.phase1.len()
-    }
-
-    /// Is the in-memory cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.phase1.is_empty() && self.phase2.is_empty()
-    }
-
     /// Phase-1 lookup: memory first, then the disk tier (promoting to
-    /// memory). The flag reports whether the entry came from disk.
+    /// memory), counted into `stats` as a hit (and disk hit) or a miss.
     ///
     /// Entries are shared, not copied: a hit is a refcount bump, so the
     /// hot path of a warm (or disk-warm) build never deep-clones an
@@ -413,90 +375,104 @@ impl CompilationCache {
         &mut self,
         name: &str,
         key: u64,
-    ) -> Option<(Arc<Phase1Entry>, bool)> {
-        if let Some(e) = self.phase1.get(name) {
-            if e.key == key {
-                let e = Arc::clone(e);
-                self.count("cache.p1.mem_hits");
-                self.touch1(name);
-                return Some((e, false));
-            }
+        stats: &mut PhaseStats,
+    ) -> Option<Arc<Phase1Entry>> {
+        if let Some(e) = self.phase1.get(name).filter(|e| e.key == key) {
+            let e = Arc::clone(e);
+            self.count("cache.p1.mem_hits");
+            self.touch1(name);
+            stats.hits += 1;
+            return Some(e);
         }
-        let loaded = self.disk.as_ref().and_then(|d| d.load_phase1(key));
-        let Some(e) = loaded else {
+        let Some(e) = self.disk.as_ref().and_then(|d| d.load_phase1(key)) else {
             self.count("cache.p1.misses");
+            stats.misses += 1;
             return None;
         };
         self.count("cache.p1.disk_hits");
         self.count("cache.p1.promotes");
-        let e = Arc::new(e);
-        self.phase1.insert(name.to_string(), Arc::clone(&e));
-        self.touch1(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
-        self.count_evictions("cache.p1.evictions", evicted);
-        self.stats.phase1_evictions += evicted;
-        Some((e, true))
+        stats.hits += 1;
+        stats.disk_hits += 1;
+        Some(self.insert_phase1(name, e, stats))
     }
 
     /// Stores a freshly computed phase-1 entry in memory and, when
     /// attached, writes it through to disk. Returns the shared handle so
     /// the caller keeps using the entry without cloning it.
-    pub(crate) fn store_phase1(&mut self, name: &str, entry: Phase1Entry) -> Arc<Phase1Entry> {
+    pub(crate) fn store_phase1(
+        &mut self,
+        name: &str,
+        entry: Phase1Entry,
+        stats: &mut PhaseStats,
+    ) -> Arc<Phase1Entry> {
         if let Some(d) = &mut self.disk {
             d.store_phase1(&entry);
         }
+        self.insert_phase1(name, entry, stats)
+    }
+
+    /// Puts an entry in the memory tier, evicting past the cap.
+    fn insert_phase1(
+        &mut self,
+        name: &str,
+        entry: Phase1Entry,
+        stats: &mut PhaseStats,
+    ) -> Arc<Phase1Entry> {
         let entry = Arc::new(entry);
         self.phase1.insert(name.to_string(), Arc::clone(&entry));
         self.touch1(name);
         let evicted = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
         self.count_evictions("cache.p1.evictions", evicted);
-        self.stats.phase1_evictions += evicted;
+        stats.evictions += evicted;
         entry
     }
 
     /// Phase-2 lookup: memory first, then the disk tier (promoting to
-    /// memory). The flag reports whether the object came from disk.
+    /// memory), counted into `stats` like
+    /// [`lookup_phase1`](Self::lookup_phase1).
     pub(crate) fn lookup_phase2(
         &mut self,
         name: &str,
         ir_fp: u64,
         db_fp: u64,
-    ) -> Option<(ObjectModule, bool)> {
-        if let Some(e) = self.phase2.get(name) {
-            if e.ir_fp == ir_fp && e.db_fp == db_fp {
-                let object = e.object.clone();
-                self.count("cache.p2.mem_hits");
-                self.touch2(name);
-                return Some((object, false));
-            }
+        stats: &mut PhaseStats,
+    ) -> Option<Phase2Entry> {
+        if let Some(e) = self.phase2.get(name).filter(|e| e.ir_fp == ir_fp && e.db_fp == db_fp) {
+            let e = e.clone();
+            self.count("cache.p2.mem_hits");
+            self.touch2(name);
+            stats.hits += 1;
+            return Some(e);
         }
-        let loaded = self.disk.as_ref().and_then(|d| d.load_phase2(ir_fp, db_fp));
-        let Some(e) = loaded else {
+        let Some(e) = self.disk.as_ref().and_then(|d| d.load_phase2(ir_fp, db_fp)) else {
             self.count("cache.p2.misses");
+            stats.misses += 1;
             return None;
         };
         self.count("cache.p2.disk_hits");
         self.count("cache.p2.promotes");
-        let object = e.object.clone();
-        self.phase2.insert(name.to_string(), e);
-        self.touch2(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
-        self.count_evictions("cache.p2.evictions", evicted);
-        self.stats.phase2_evictions += evicted;
-        Some((object, true))
+        stats.hits += 1;
+        stats.disk_hits += 1;
+        self.insert_phase2(name, e.clone(), stats);
+        Some(e)
     }
 
     /// Stores a freshly compiled object in memory and, when attached,
     /// writes it through to disk.
-    pub(crate) fn store_phase2(&mut self, name: &str, entry: Phase2Entry) {
+    pub(crate) fn store_phase2(&mut self, name: &str, entry: Phase2Entry, stats: &mut PhaseStats) {
         if let Some(d) = &mut self.disk {
             d.store_phase2(&entry);
         }
+        self.insert_phase2(name, entry, stats);
+    }
+
+    /// Puts an entry in the memory tier, evicting past the cap.
+    fn insert_phase2(&mut self, name: &str, entry: Phase2Entry, stats: &mut PhaseStats) {
         self.phase2.insert(name.to_string(), entry);
         self.touch2(name);
         let evicted = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
         self.count_evictions("cache.p2.evictions", evicted);
-        self.stats.phase2_evictions += evicted;
+        stats.evictions += evicted;
     }
 
     /// Flushes the disk tier's buffered writes, if one is attached. Called
@@ -539,86 +515,107 @@ mod tests {
         d
     }
 
+    /// A memory-only cache holding at most `cap` entries per tier map.
+    fn capped(cap: usize) -> CompilationCache {
+        let mut c = CompilationCache::new();
+        c.set_capacity(Some(cap));
+        c
+    }
+
     #[test]
     fn uncapped_cache_never_evicts() {
         let mut c = CompilationCache::new();
+        let mut stats = PhaseStats::default();
         for i in 0..100u64 {
             let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i));
-            c.store_phase2(&name, p2(i, i));
+            c.store_phase1(&name, p1(&name, i), &mut stats);
+            c.store_phase2(&name, p2(i, i), &mut stats);
         }
-        assert_eq!(c.len(), 100);
-        assert_eq!(c.stats().phase1_evictions, 0);
-        assert_eq!(c.stats().phase2_evictions, 0);
+        assert_eq!(c.phase1.len(), 100);
+        assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn lookups_count_hits_and_misses() {
+        let mut c = CompilationCache::new();
+        let mut stats = PhaseStats::default();
+        c.store_phase1("a", p1("a", 1), &mut stats);
+        assert!(c.lookup_phase1("a", 1, &mut stats).is_some());
+        assert!(c.lookup_phase1("a", 2, &mut stats).is_none(), "stale key");
+        assert!(c.lookup_phase1("b", 1, &mut stats).is_none(), "unknown module");
+        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (1, 0, 2));
     }
 
     #[test]
     fn cap_evicts_the_least_recently_used_entry() {
-        let mut c = CompilationCache::with_capacity(2);
-        c.store_phase1("a", p1("a", 1));
-        c.store_phase1("b", p1("b", 2));
+        let mut c = capped(2);
+        let mut stats = PhaseStats::default();
+        c.store_phase1("a", p1("a", 1), &mut stats);
+        c.store_phase1("b", p1("b", 2), &mut stats);
         // Touch "a": "b" becomes the LRU victim despite being stored later.
-        assert!(c.lookup_phase1("a", 1).is_some());
-        c.store_phase1("c", p1("c", 3));
-        assert_eq!(c.stats().phase1_evictions, 1);
-        assert!(c.lookup_phase1("b", 2).is_none(), "LRU entry evicted");
-        assert!(c.lookup_phase1("a", 1).is_some(), "recently used entry kept");
-        assert!(c.lookup_phase1("c", 3).is_some(), "new entry kept");
+        assert!(c.lookup_phase1("a", 1, &mut stats).is_some());
+        c.store_phase1("c", p1("c", 3), &mut stats);
+        assert_eq!(stats.evictions, 1);
+        assert!(c.lookup_phase1("b", 2, &mut stats).is_none(), "LRU entry evicted");
+        assert!(c.lookup_phase1("a", 1, &mut stats).is_some(), "recently used entry kept");
+        assert!(c.lookup_phase1("c", 3, &mut stats).is_some(), "new entry kept");
     }
 
     #[test]
     fn phase2_tier_is_capped_independently() {
-        let mut c = CompilationCache::with_capacity(2);
+        let mut c = capped(2);
+        let mut stats = PhaseStats::default();
         for i in 0..5u64 {
             let name = format!("m{i}");
-            c.store_phase2(&name, p2(i, i));
+            c.store_phase2(&name, p2(i, i), &mut stats);
         }
         assert_eq!(c.phase2.len(), 2);
-        assert_eq!(c.stats().phase2_evictions, 3);
+        assert_eq!(stats.evictions, 3);
         // Oldest entries went first; the two most recent survive.
-        assert!(c.lookup_phase2("m3", 3, 3).is_some());
-        assert!(c.lookup_phase2("m4", 4, 4).is_some());
-        assert!(c.lookup_phase2("m0", 0, 0).is_none());
+        assert!(c.lookup_phase2("m3", 3, 3, &mut stats).is_some());
+        assert!(c.lookup_phase2("m4", 4, 4, &mut stats).is_some());
+        assert!(c.lookup_phase2("m0", 0, 0, &mut stats).is_none());
     }
 
     #[test]
     fn set_capacity_shrinks_immediately_and_none_lifts_the_cap() {
         let mut c = CompilationCache::new();
+        let mut stats = PhaseStats::default();
         for i in 0..8u64 {
             let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i));
+            c.store_phase1(&name, p1(&name, i), &mut stats);
         }
         c.set_capacity(Some(3));
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.stats().phase1_evictions, 5);
+        assert_eq!(c.phase1.len(), 3);
         c.set_capacity(None);
         for i in 8..20u64 {
             let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i));
+            c.store_phase1(&name, p1(&name, i), &mut stats);
         }
-        assert_eq!(c.len(), 15);
-        assert_eq!(c.stats().phase1_evictions, 5, "no further evictions once uncapped");
+        assert_eq!(c.phase1.len(), 15);
+        assert_eq!(stats.evictions, 0, "no evictions once uncapped");
     }
 
     #[test]
     fn eviction_order_is_deterministic_across_identical_runs() {
         let run = || {
-            let mut c = CompilationCache::with_capacity(3);
+            let mut c = capped(3);
+            let mut stats = PhaseStats::default();
             let mut survivors = Vec::new();
             for i in 0..12u64 {
                 let name = format!("m{i}");
-                c.store_phase1(&name, p1(&name, i));
+                c.store_phase1(&name, p1(&name, i), &mut stats);
                 // Re-touch a rolling window so recency differs from
                 // insertion order.
                 for j in i.saturating_sub(1)..=i {
                     let n = format!("m{j}");
-                    let _ = c.lookup_phase1(&n, j);
+                    let _ = c.lookup_phase1(&n, j, &mut stats);
                 }
                 let mut present: Vec<String> = c.phase1.keys().cloned().collect();
                 present.sort();
                 survivors.push(present);
             }
-            (survivors, c.stats())
+            (survivors, stats.hits, stats.misses, stats.evictions)
         };
         assert_eq!(run(), run());
     }
@@ -628,13 +625,33 @@ mod tests {
         let dir = tmpdir("evict-disk");
         let mut c = CompilationCache::with_disk(&dir).unwrap();
         c.set_capacity(Some(1));
-        c.store_phase1("a", p1("a", 1));
-        c.store_phase1("b", p1("b", 2)); // evicts "a" from memory
+        let mut stats = PhaseStats::default();
+        c.store_phase1("a", p1("a", 1), &mut stats);
+        c.store_phase1("b", p1("b", 2), &mut stats); // evicts "a" from memory
         c.flush();
-        assert_eq!(c.stats().phase1_evictions, 1);
-        let (e, from_disk) = c.lookup_phase1("a", 1).expect("evicted entry still on disk");
-        assert!(from_disk, "served from the disk tier after eviction");
+        assert_eq!(stats.evictions, 1);
+        let e = c.lookup_phase1("a", 1, &mut stats).expect("evicted entry still on disk");
+        assert_eq!(stats.disk_hits, 1, "served from the disk tier after eviction");
         assert_eq!(e.key, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_or_foreign_frames_are_misses() {
+        let dir = tmpdir("corrupt-frame");
+        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        let mut stats = PhaseStats::default();
+        c.store_phase1("a", p1("a", 1), &mut stats);
+        c.store_phase2("a", p2(1, 1), &mut stats);
+        c.flush();
+        let disk = c.disk.as_ref().unwrap();
+        let path = disk.phase1_path(1);
+        // A phase-2 frame under a phase-1 key is a miss (tags differ).
+        std::fs::copy(disk.phase2_path(1, 1), &path).unwrap();
+        assert!(disk.load_phase1(1).is_none());
+        std::fs::write(&path, "{garbage").unwrap();
+        assert!(disk.load_phase1(1).is_none());
+        assert!(disk.load_phase2(1, 1).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,9 +22,11 @@
 //!   one module re-runs codegen only for modules whose directives actually
 //!   changed — the paper's recompilation story (§3) made real.
 //!
-//! [`compile`] is one-shot; [`compile_incremental`] reuses a cache across
-//! builds and reports per-phase timings and hit/miss counts in
-//! [`CompiledProgram::build`]. A cache opened with
+//! One cached pass per phase does that probing and compiling for every
+//! build path; each build's [`BuildReport`] is its record of hits, misses,
+//! evictions and recompiled modules. [`compile`] is one-shot;
+//! [`compile_incremental`] reuses a cache across builds and returns the
+//! report in [`CompiledProgram::build`]. A cache opened with
 //! [`CompilationCache::with_disk`] additionally persists its entries to a
 //! cache directory, so the same fingerprints keep working across *process*
 //! invocations (`cminc --cache-dir`).
@@ -33,11 +35,12 @@
 //! artifacts (`.csum`/`.cdir`/`.vo`/`.vx`, see [`ipra_artifact`]) —
 //! required to be bit-identical to the in-memory path.
 //!
-//! Profile feedback (configurations B and F) is a closed loop here: compile
-//! at the baseline, run on a training input, convert the simulator's exact
-//! edge counts into [`ProfileData`], and recompile — the moral equivalent of
-//! the paper's `gprof` pass. The recompile shares the baseline's cache, so
-//! its first phase is pure cache hits.
+//! Profile feedback (configurations B and F) is a closed loop here, run by
+//! [`compile_configured`]: compile at the baseline, run on a training
+//! input, convert the simulator's exact edge counts into [`ProfileData`],
+//! and recompile — the moral equivalent of the paper's `gprof` pass. The
+//! recompile shares the baseline's cache, so its first phase is pure cache
+//! hits.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,13 +57,11 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod framed;
 pub mod separate;
 mod stages;
 
-pub use cache::{BuildReport, CacheStats, CompilationCache, DiskCache, PhaseStats};
+pub use cache::{BuildReport, CompilationCache, PhaseStats};
 
-use cache::{Phase1Entry, Phase2Entry};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
 use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, AnalyzerStats, PaperConfig};
@@ -70,9 +71,8 @@ use ipra_obsv::DiffReport;
 use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
-use stages::{parallel_map, phase1_key, run_phase1};
+use stages::{cached_phase1, cached_phase2};
 use std::fmt;
-use std::sync::Arc;
 use vpr::program::{link, Executable, LinkError, ObjectModule};
 use vpr::sim::{run_with, RunResult, SimError, SimOptions};
 
@@ -95,13 +95,11 @@ impl SourceFile {
 /// Driver options.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// The paper configuration to apply (`L2` when `None`: plain level-2).
-    pub config: Option<PaperConfig>,
-    /// Profile data for configurations B/F.
-    pub profile: Option<ProfileData>,
-    /// Full analyzer options; overrides `config`/`profile` when set
-    /// (used by the ablation benchmarks).
-    pub analyzer: Option<AnalyzerOptions>,
+    /// The analyzer options the build runs under — a paper configuration
+    /// ([`CompileOptions::paper`], plain level-2 by default), with its
+    /// profile for B/F, or any ablation. Their `target` is ignored: the
+    /// build's [`target`](CompileOptions::target) is authoritative.
+    pub analyzer: AnalyzerOptions,
     /// Run the level-2 global optimizer (on by default; turning it off
     /// gives the unoptimized baseline used to validate the optimizer and
     /// to quantify baseline quality).
@@ -122,16 +120,14 @@ pub struct CompileOptions {
     pub telemetry: Option<Telemetry>,
     /// The machine description codegen, the analyzer and the linker build
     /// against. The driver's target is authoritative: it overrides the
-    /// `target` field of an explicit [`CompileOptions::analyzer`].
+    /// `target` field of [`CompileOptions::analyzer`].
     pub target: vpr::target::TargetId,
 }
 
 impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
-            config: None,
-            profile: None,
-            analyzer: None,
+            analyzer: AnalyzerOptions::paper_config(PaperConfig::L2, None),
             optimize: true,
             jobs: 1,
             trace: false,
@@ -142,14 +138,11 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Options for one of the paper's configurations.
+    /// Options for one of the paper's configurations (B and F without a
+    /// profile; [`compile_configured`] trains one).
     pub fn paper(config: PaperConfig) -> CompileOptions {
-        CompileOptions { config: Some(config), ..CompileOptions::default() }
-    }
-
-    /// Options for a profile-fed configuration.
-    pub fn paper_with_profile(config: PaperConfig, profile: ProfileData) -> CompileOptions {
-        CompileOptions { config: Some(config), profile: Some(profile), ..CompileOptions::default() }
+        let analyzer = AnalyzerOptions::paper_config(config, None);
+        CompileOptions { analyzer, ..CompileOptions::default() }
     }
 
     /// The worker-pool width this build will actually use.
@@ -282,59 +275,16 @@ pub fn compile_incremental(
 
     // ---- Compiler first phase, cache-probed then fanned out per module.
     let phase1_timer = span(tele, "build", "phase1");
-    let evictions_before = (cache.stats.phase1_evictions, cache.stats.phase2_evictions);
-    let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, options.optimize)).collect();
-    let mut entries: Vec<Option<Arc<Phase1Entry>>> = Vec::with_capacity(sources.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    for (i, src) in sources.iter().enumerate() {
-        match cache.lookup_phase1(&src.name, keys[i]) {
-            Some((e, from_disk)) => {
-                report.phase1.hits += 1;
-                report.phase1.disk_hits += usize::from(from_disk);
-                entries.push(Some(e));
-            }
-            None => {
-                report.phase1.misses += 1;
-                miss_idx.push(i);
-                entries.push(None);
-            }
-        }
-    }
-    let work: Vec<(usize, &SourceFile, u64)> =
-        miss_idx.iter().map(|&i| (i, &sources[i], keys[i])).collect();
-    let computed = parallel_map(&work, jobs, |&(_, src, key)| {
-        let _task = span(tele, "phase1", &format!("phase1:{}", src.name));
-        run_phase1(src, options.optimize, key)
-    });
-    let mut first_error: Option<(usize, CompileError)> = None;
-    for (&(i, src, _), result) in work.iter().zip(computed) {
-        match result {
-            Ok(entry) => {
-                entries[i] = Some(cache.store_phase1(&src.name, entry));
-            }
-            Err(e) => {
-                // Keep the lowest-index diagnostic: the same error a serial
-                // left-to-right compile would have reported first.
-                if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_error = Some((i, e));
-                }
-            }
-        }
-    }
-    cache.stats.phase1_hits += report.phase1.hits as u64;
-    cache.stats.phase1_misses += report.phase1.misses as u64;
-    report.phase1.evictions = (cache.stats.phase1_evictions - evictions_before.0) as usize;
-    if let Some((_, e)) = first_error {
-        return Err(e.into());
-    }
-    let entries: Vec<Arc<Phase1Entry>> =
-        entries.into_iter().map(|e| e.expect("all phase-1 slots filled")).collect();
+    let entries = cached_phase1(sources, options.optimize, jobs, cache, &mut report);
+    // A failed build still counts what its phases did to the cache.
+    count_phase(tele, "phase1", &report.phase1);
+    let entries = entries?;
     report.phase1.seconds = phase1_timer.finish();
 
     // ---- The program analyzer (whole-program; always runs).
     let analyze_timer = span(tele, "build", "analyze");
     let summary = ProgramSummary { modules: entries.iter().map(|e| e.summary.clone()).collect() };
-    let analyzer_opts = stages::analyzer_options(options);
+    let analyzer_opts = AnalyzerOptions { target: options.target, ..options.analyzer.clone() };
     let (analysis, trace) = if options.trace {
         let (a, t) = analyze_traced(&summary, &analyzer_opts);
         (a, Some(t))
@@ -345,52 +295,15 @@ pub fn compile_incremental(
 
     // ---- Compiler second phase: per module, keyed on (IR, database slice).
     let phase2_timer = span(tele, "build", "phase2");
-    let database = &analysis.database;
-    let db_fps: Vec<u64> = entries
-        .iter()
-        .map(|e| {
-            let fp = database.module_slice_fingerprint(
-                e.ir.functions.iter().map(|f| f.name.as_str()),
-                e.callees.iter().map(|s| s.as_str()),
-            );
-            stages::mix_target(fp, options.target)
-        })
-        .collect();
-    let mut objects: Vec<Option<ObjectModule>> = Vec::with_capacity(entries.len());
-    let mut stale_idx: Vec<usize> = Vec::new();
-    for (i, e) in entries.iter().enumerate() {
-        match cache.lookup_phase2(&e.ir.name, e.ir_fp, db_fps[i]) {
-            Some((object, from_disk)) => {
-                report.phase2.hits += 1;
-                report.phase2.disk_hits += usize::from(from_disk);
-                objects.push(Some(object));
-            }
-            None => {
-                report.phase2.misses += 1;
-                stale_idx.push(i);
-                objects.push(None);
-            }
-        }
-    }
-    let stale: Vec<&Phase1Entry> = stale_idx.iter().map(|&i| &*entries[i]).collect();
-    let compiled = parallel_map(&stale, jobs, |e| {
-        let _task = span(tele, "phase2", &format!("phase2:{}", e.ir.name));
-        cmin_codegen::compile_module_for(&e.ir, database, options.target)
-    });
-    for (&i, object) in stale_idx.iter().zip(compiled) {
-        let e = &entries[i];
-        report.recompiled.push(e.ir.name.clone());
-        cache.store_phase2(
-            &e.ir.name,
-            Phase2Entry { ir_fp: e.ir_fp, db_fp: db_fps[i], object: object.clone() },
-        );
-        objects[i] = Some(object);
-    }
-    cache.stats.phase2_hits += report.phase2.hits as u64;
-    cache.stats.phase2_misses += report.phase2.misses as u64;
-    report.phase2.evictions = (cache.stats.phase2_evictions - evictions_before.1) as usize;
     let objects: Vec<ObjectModule> =
-        objects.into_iter().map(|o| o.expect("all phase-2 slots filled")).collect();
+        cached_phase2(&entries, &analysis.database, options.target, jobs, cache, &mut report)
+            .into_iter()
+            .map(|e| e.object)
+            .collect();
+    count_phase(tele, "phase2", &report.phase2);
+    if let Some(t) = tele {
+        t.add("phase2.recompiled", report.recompiled.len() as u64);
+    }
     report.phase2.seconds = phase2_timer.finish();
 
     // ---- Link (whole-program; always runs).
@@ -406,15 +319,6 @@ pub fn compile_incremental(
     if let Some(t) = tele {
         t.add("build.builds", 1);
         t.add("build.modules", sources.len() as u64);
-        t.add("phase1.hits", report.phase1.hits as u64);
-        t.add("phase1.disk_hits", report.phase1.disk_hits as u64);
-        t.add("phase1.misses", report.phase1.misses as u64);
-        t.add("phase1.evictions", report.phase1.evictions as u64);
-        t.add("phase2.hits", report.phase2.hits as u64);
-        t.add("phase2.disk_hits", report.phase2.disk_hits as u64);
-        t.add("phase2.misses", report.phase2.misses as u64);
-        t.add("phase2.evictions", report.phase2.evictions as u64);
-        t.add("phase2.recompiled", report.recompiled.len() as u64);
         t.add("analyze.nodes", analysis.stats.nodes as u64);
         t.add("analyze.webs", analysis.stats.webs_total as u64);
         t.add("link.objects", objects.len() as u64);
@@ -430,6 +334,17 @@ pub fn compile_incremental(
         build: report,
         trace,
     })
+}
+
+/// Adds one phase's cache accounting to the build's counters
+/// (`<phase>.hits`, `.disk_hits`, `.misses`, `.evictions`).
+fn count_phase(tele: Option<&Telemetry>, phase: &str, stats: &PhaseStats) {
+    if let Some(t) = tele {
+        t.add(&format!("{phase}.hits"), stats.hits as u64);
+        t.add(&format!("{phase}.disk_hits"), stats.disk_hits as u64);
+        t.add(&format!("{phase}.misses"), stats.misses as u64);
+        t.add(&format!("{phase}.evictions"), stats.evictions as u64);
+    }
 }
 
 /// Runs the interprocedural register-discipline verifier over a compiled
@@ -484,12 +399,6 @@ pub fn run_program_attributed(
 
 /// Converts a run's call accounting into analyzer-ready profile data,
 /// mapping function indices back to link names.
-pub fn collect_profile(program: &CompiledProgram, result: &RunResult) -> ProfileData {
-    collect_profile_from(&program.exe, result)
-}
-
-/// [`collect_profile`] for a bare executable (the separate-compilation
-/// path holds no [`CompiledProgram`]).
 pub fn collect_profile_from(exe: &Executable, result: &RunResult) -> ProfileData {
     let mut profile = ProfileData::new();
     let funcs = exe.funcs();
@@ -507,54 +416,33 @@ pub fn collect_profile_from(exe: &Executable, result: &RunResult) -> ProfileData
     profile
 }
 
-/// The full profile-feedback loop for configurations B and F: compile at
-/// L2, run on `training_input`, recompile with the collected profile.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation problems; a training-run trap
-/// surfaces as the `Err` of the inner result.
-pub fn compile_with_profile(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    compile_with_profile_cached(sources, config, training_input, 1, &mut CompilationCache::new())
-}
-
-/// [`compile_with_profile`] with an explicit worker-pool width and a
-/// caller-owned cache. The baseline and the profile-fed recompile share the
-/// cache, so the recompile's first phase is pure cache hits and its second
-/// phase re-runs only where the profile actually moved the database.
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] for compilation problems; a training-run trap
-/// surfaces as the `Err` of the inner result.
-pub fn compile_with_profile_cached(
-    sources: &[SourceFile],
-    config: PaperConfig,
-    training_input: &[i64],
-    jobs: usize,
-    cache: &mut CompilationCache,
-) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    let baseline_opts = CompileOptions { jobs, ..CompileOptions::paper(PaperConfig::L2) };
-    let baseline = compile_incremental(sources, &baseline_opts, cache)?;
-    let training = match run_program(&baseline, training_input) {
-        Ok(r) => r,
-        Err(e) => return Ok(Err(e)),
-    };
-    let profile = collect_profile(&baseline, &training);
-    let opts = CompileOptions { jobs, ..CompileOptions::paper_with_profile(config, profile) };
-    let program = compile_incremental(sources, &opts, cache)?;
-    Ok(Ok(program))
+/// The profile-feedback training step shared by [`compile_configured`] and
+/// [`separate::artifact_build_configured_for`]: runs the baseline
+/// executable on `input` and collects its call-edge profile.
+fn train(
+    baseline: &Executable,
+    input: &[i64],
+    tele: Option<&Telemetry>,
+) -> Result<ProfileData, SimError> {
+    let timer = span(tele, "sim", "training-run");
+    let training =
+        run_with(baseline, &SimOptions { input: input.to_vec(), ..SimOptions::default() })?;
+    timer.finish();
+    if let Some(t) = tele {
+        t.add("sim.training.runs", 1);
+        t.add("sim.training.cycles", training.stats.cycles);
+    }
+    Ok(collect_profile_from(baseline, &training))
 }
 
 /// Compiles under any paper configuration, running the profile-feedback
-/// loop first when the configuration wants one (training on
-/// `training_input`). Unlike [`compile_with_profile_cached`], the caller's
-/// `options` (jobs, trace, optimize) are honored; its `config`/`profile`
-/// fields are overridden per leg, and the baseline leg never traces.
+/// loop first when the configuration wants one: a level-2 baseline build
+/// (never traced), a training run on `training_input`, then the
+/// profile-fed build. Both builds share `cache`, so the second one's first
+/// phase is pure cache hits and its second phase re-runs only where the
+/// profile moved the database. The caller's `options` (jobs, trace,
+/// optimize, telemetry, target) are honored; their `analyzer` is replaced
+/// by `config`'s for each leg.
 ///
 /// # Errors
 ///
@@ -567,31 +455,22 @@ pub fn compile_configured(
     options: &CompileOptions,
     cache: &mut CompilationCache,
 ) -> Result<Result<CompiledProgram, SimError>, DriverError> {
-    if !config.wants_profile() {
-        let opts = CompileOptions { config: Some(config), profile: None, ..options.clone() };
-        return Ok(Ok(compile_incremental(sources, &opts, cache)?));
-    }
-    let baseline_opts = CompileOptions {
-        config: Some(PaperConfig::L2),
-        profile: None,
-        trace: false,
-        ..options.clone()
+    let profile = if config.wants_profile() {
+        let baseline_opts = CompileOptions {
+            analyzer: AnalyzerOptions::paper_config(PaperConfig::L2, None),
+            trace: false,
+            ..options.clone()
+        };
+        let baseline = compile_incremental(sources, &baseline_opts, cache)?;
+        match train(&baseline.exe, training_input, options.telemetry.as_ref()) {
+            Ok(profile) => Some(profile),
+            Err(e) => return Ok(Err(e)),
+        }
+    } else {
+        None
     };
-    let baseline = compile_incremental(sources, &baseline_opts, cache)?;
-    let tele = options.telemetry.as_ref();
-    let training_timer = span(tele, "sim", "training-run");
-    let training = match run_program(&baseline, training_input) {
-        Ok(r) => r,
-        Err(e) => return Ok(Err(e)),
-    };
-    training_timer.finish();
-    if let Some(t) = tele {
-        t.add("sim.training.runs", 1);
-        t.add("sim.training.cycles", training.stats.cycles);
-    }
-    let profile = collect_profile(&baseline, &training);
-    let opts = CompileOptions { config: Some(config), profile: Some(profile), ..options.clone() };
-    Ok(Ok(compile_incremental(sources, &opts, cache)?))
+    let analyzer = AnalyzerOptions::paper_config(config, profile);
+    Ok(Ok(compile_incremental(sources, &CompileOptions { analyzer, ..options.clone() }, cache)?))
 }
 
 /// Compiles `sources` under two configurations (decision tracing on), runs
@@ -667,6 +546,14 @@ mod tests {
         SourceFile::new(name, text)
     }
 
+    /// A cold build under `config`, trained on an empty input for B/F.
+    fn configured(sources: &[SourceFile], config: PaperConfig) -> CompiledProgram {
+        let mut cache = CompilationCache::new();
+        compile_configured(sources, config, &[], &CompileOptions::default(), &mut cache)
+            .unwrap()
+            .unwrap()
+    }
+
     /// A fresh temp directory, unique per test, wiped before use.
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ipra-driver-{tag}-{}", std::process::id()));
@@ -710,11 +597,7 @@ mod tests {
         let oracle = interpret_sources(&sources, &[]).unwrap().unwrap();
         assert_eq!(oracle.output, vec![1225, 50]);
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let program = if config.wants_profile() {
-                compile_with_profile(&sources, config, &[]).unwrap().unwrap()
-            } else {
-                compile(&sources, &CompileOptions::paper(config)).unwrap()
-            };
+            let program = configured(&sources, config);
             let r = run_program(&program, &[]).unwrap();
             assert_eq!(r.output, oracle.output, "config {config} output diverged");
             assert_eq!(r.exit, oracle.exit, "config {config} exit diverged");
@@ -725,11 +608,7 @@ mod tests {
     fn every_config_passes_the_machine_code_verifier() {
         let sources = two_module_program();
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let program = if config.wants_profile() {
-                compile_with_profile(&sources, config, &[]).unwrap().unwrap()
-            } else {
-                compile(&sources, &CompileOptions::paper(config)).unwrap()
-            };
+            let program = configured(&sources, config);
             let report = verify_program(&program);
             assert!(report.is_clean(), "config {config} emitted undisciplined code:\n{report}");
             assert!(report.procs >= 5);
@@ -761,7 +640,7 @@ mod tests {
         let sources = two_module_program();
         let baseline = compile(&sources, &CompileOptions::paper(PaperConfig::L2)).unwrap();
         let r = run_program(&baseline, &[]).unwrap();
-        let profile = collect_profile(&baseline, &r);
+        let profile = collect_profile_from(&baseline.exe, &r);
         // bump is called 50 times through the function pointer.
         assert_eq!(profile.calls("bump"), 50);
         assert_eq!(profile.calls("hits_of"), 1);
@@ -825,10 +704,10 @@ mod tests {
     fn parallel_map_preserves_order_and_balances() {
         let items: Vec<usize> = (0..37).collect();
         for jobs in [1, 2, 8, 64] {
-            let out = parallel_map(&items, jobs, |&i| i * 2);
+            let out = stages::parallel_map(&items, jobs, |&i| i * 2);
             assert_eq!(out, items.iter().map(|&i| i * 2).collect::<Vec<_>>(), "jobs={jobs}");
         }
-        assert!(parallel_map(&Vec::<usize>::new(), 4, |&i: &usize| i).is_empty());
+        assert!(stages::parallel_map(&Vec::<usize>::new(), 4, |&i: &usize| i).is_empty());
     }
 
     #[test]
@@ -846,8 +725,6 @@ mod tests {
         assert!(warm.build.recompiled.is_empty());
         assert_eq!(warm.exe, cold.exe);
         assert_eq!(warm.database, cold.database);
-        assert_eq!(cache.stats().phase1_hits, 2);
-        assert_eq!(cache.stats().phase1_misses, 2);
     }
 
     #[test]
@@ -954,10 +831,7 @@ mod tests {
     #[test]
     fn profile_recompile_reuses_the_cache() {
         let sources = two_module_program();
-        let mut cache = CompilationCache::new();
-        let program = compile_with_profile_cached(&sources, PaperConfig::F, &[], 1, &mut cache)
-            .unwrap()
-            .unwrap();
+        let program = configured(&sources, PaperConfig::F);
         // The profile-fed build is the second compile through the cache:
         // its first phase must be pure hits.
         assert_eq!(program.build.phase1.hits, sources.len());

@@ -13,12 +13,13 @@
 //! [`artifact_build_for`] runs the whole staged pipeline into a directory
 //! and is required (and tested, see `tests/artifacts.rs`) to be
 //! *bit-identical* to the in-memory path: same `.vx` bytes, same simulator
-//! statistics. [`build_module_for`] is the `cminc c` core — one module's phase 1 + phase 2
-//! against a given directives database, through the shared
-//! [`CompilationCache`] (and its on-disk tier, when attached).
+//! statistics. [`build_module_for`] is the `cminc c` core — one module's
+//! phase 1 + phase 2 against a given directives database. Both run the
+//! same cached per-phase passes as [`crate::compile_incremental`], through
+//! the shared [`CompilationCache`] (and its on-disk tier, when attached).
 
-use crate::cache::Phase2Entry;
-use crate::{stages, CompilationCache, DriverError, SourceFile};
+use crate::stages::{cached_phase1, cached_phase2};
+use crate::{BuildReport, CompilationCache, DriverError, SourceFile};
 use cmin_frontend::CompileError;
 use ipra_artifact::{
     ArtifactKind, DirectivesArtifact, ExecutableArtifact, ObjectArtifact, SummaryArtifact,
@@ -29,7 +30,7 @@ use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use std::path::{Path, PathBuf};
 use vpr::program::Executable;
-use vpr::sim::{run_with, SimError, SimOptions};
+use vpr::sim::SimError;
 use vpr::target::TargetId;
 
 /// One module's separate-compilation products (`cminc c` output).
@@ -66,52 +67,23 @@ pub fn build_module_for(
     cache: &mut CompilationCache,
     target: TargetId,
 ) -> Result<ModuleProduct, CompileError> {
-    let key = stages::phase1_key(src, optimize);
-    let (entry, phase1_hit) = match cache.lookup_phase1(&src.name, key) {
-        Some((e, _)) => {
-            cache.stats.phase1_hits += 1;
-            (e, true)
-        }
-        None => {
-            let e = stages::run_phase1(src, optimize, key)?;
-            cache.stats.phase1_misses += 1;
-            let e = cache.store_phase1(&src.name, e);
-            (e, false)
-        }
-    };
-    let db_fp = stages::mix_target(
-        database.module_slice_fingerprint(
-            entry.ir.functions.iter().map(|f| f.name.as_str()),
-            entry.callees.iter().map(|s| s.as_str()),
-        ),
-        target,
-    );
-    let (object, phase2_hit) = match cache.lookup_phase2(&src.name, entry.ir_fp, db_fp) {
-        Some((o, _)) => {
-            cache.stats.phase2_hits += 1;
-            (o, true)
-        }
-        None => {
-            let object = cmin_codegen::compile_module_for(&entry.ir, database, target);
-            cache.stats.phase2_misses += 1;
-            cache.store_phase2(
-                &src.name,
-                Phase2Entry { ir_fp: entry.ir_fp, db_fp, object: object.clone() },
-            );
-            (object, false)
-        }
-    };
-    // One burst of disk-tier writes per module build (see `DiskCache`).
+    let mut report = BuildReport::default();
+    let entry =
+        cached_phase1(std::slice::from_ref(src), optimize, 1, cache, &mut report)?.remove(0);
+    let object =
+        cached_phase2(std::slice::from_ref(&entry), database, target, 1, cache, &mut report)
+            .remove(0);
+    // One burst of disk-tier writes per module build.
     cache.flush();
     Ok(ModuleProduct {
         summary: SummaryArtifact {
             summary: entry.summary.clone(),
-            source_fp: key,
+            source_fp: entry.key,
             ir_fp: entry.ir_fp,
         },
-        object: ObjectArtifact { object, ir_fp: entry.ir_fp, dir_fp: db_fp },
-        phase1_hit,
-        phase2_hit,
+        object: ObjectArtifact { object: object.object, ir_fp: entry.ir_fp, dir_fp: object.db_fp },
+        phase1_hit: report.phase1.hits == 1,
+        phase2_hit: report.phase2.hits == 1,
     })
 }
 
@@ -188,26 +160,18 @@ pub fn artifact_build_for(
     let tele = tele.as_ref();
     let _staged = span(tele, "build", "artifact-build");
 
-    // ---- Stage 1: summaries to disk, one `.csum` per module.
+    // ---- Stage 1: phase 1, then summaries to disk, one `.csum` per module.
     let stage1 = span(tele, "artifact", "stage1:summaries");
+    let mut report = BuildReport::default();
+    let entries = cached_phase1(sources, true, 1, cache, &mut report)?;
     let mut summary_paths = Vec::with_capacity(sources.len());
-    for src in sources {
-        let key = stages::phase1_key(src, true);
-        let (entry, _) = match cache.lookup_phase1(&src.name, key) {
-            Some(hit) => {
-                cache.stats.phase1_hits += 1;
-                hit
-            }
-            None => {
-                let e = stages::run_phase1(src, true, key)?;
-                cache.stats.phase1_misses += 1;
-                let e = cache.store_phase1(&src.name, e);
-                (e, false)
-            }
-        };
+    for (src, entry) in sources.iter().zip(&entries) {
         let path = dir.join(format!("{}.csum", src.name));
-        let payload =
-            SummaryArtifact { summary: entry.summary.clone(), source_fp: key, ir_fp: entry.ir_fp };
+        let payload = SummaryArtifact {
+            summary: entry.summary.clone(),
+            source_fp: entry.key,
+            ir_fp: entry.ir_fp,
+        };
         ipra_artifact::write_file(ArtifactKind::Summary, &path, &payload)?;
         count_artifact_write(tele, &path);
         summary_paths.push(path);
@@ -233,20 +197,20 @@ pub fn artifact_build_for(
     count_artifact_write(tele, &directives_path);
     stage2.finish();
 
-    // ---- Stage 3: phase 2 per module, under directives re-read from disk.
+    // ---- Stage 3: phase 2 of stage 1's entries, under directives re-read
+    // from disk.
     let stage3 = span(tele, "artifact", "stage3:objects");
     let directives: DirectivesArtifact =
         ipra_artifact::read_file(ArtifactKind::Directives, &directives_path)?;
     count_artifact_read(tele, &directives_path);
+    let objects = cached_phase2(&entries, &directives.database, target, 1, cache, &mut report);
+    cache.flush();
     let mut object_paths = Vec::with_capacity(sources.len());
-    let mut recompiled = Vec::new();
-    for src in sources {
-        let product = build_module_for(src, &directives.database, true, cache, target)?;
-        if !product.phase2_hit {
-            recompiled.push(src.name.clone());
-        }
+    for (src, (entry, object)) in sources.iter().zip(entries.iter().zip(objects)) {
         let path = dir.join(format!("{}.vo", src.name));
-        ipra_artifact::write_file_for(ArtifactKind::Object, &path, &product.object, target)?;
+        let payload =
+            ObjectArtifact { object: object.object, ir_fp: entry.ir_fp, dir_fp: object.db_fp };
+        ipra_artifact::write_file_for(ArtifactKind::Object, &path, &payload, target)?;
         count_artifact_write(tele, &path);
         object_paths.push(path);
     }
@@ -283,16 +247,17 @@ pub fn artifact_build_for(
         directives_path,
         object_paths,
         executable_path,
-        recompiled,
+        recompiled: report.recompiled,
     })
 }
 
 /// [`artifact_build_for`] under any paper configuration, running the
-/// profile-feedback loop first when the configuration wants one. The
-/// training baseline is itself a staged build, into `dir/training`, on the
-/// same target as the final build: the profile weights it collects are
-/// counts over source-level events, so they feed the analyzer identically
-/// on either convention.
+/// profile-feedback loop first when the configuration wants one, with the
+/// same training step as [`crate::compile_configured`]. The training
+/// baseline is itself a staged build, into `dir/training`, on the same
+/// target as the final build: the profile weights it collects are counts
+/// over source-level events, so they feed the analyzer identically on
+/// either convention.
 ///
 /// # Errors
 ///
@@ -306,16 +271,16 @@ pub fn artifact_build_configured_for(
     cache: &mut CompilationCache,
     target: TargetId,
 ) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
-    if !config.wants_profile() {
-        return Ok(Ok(artifact_build_for(sources, config, None, dir, cache, target)?));
-    }
-    let baseline =
-        artifact_build_for(sources, PaperConfig::L2, None, &dir.join("training"), cache, target)?;
-    let opts = SimOptions { input: training_input.to_vec(), ..SimOptions::default() };
-    let training = match run_with(&baseline.exe, &opts) {
-        Ok(r) => r,
-        Err(e) => return Ok(Err(e)),
+    let profile = if config.wants_profile() {
+        let training_dir = dir.join("training");
+        let baseline =
+            artifact_build_for(sources, PaperConfig::L2, None, &training_dir, cache, target)?;
+        match crate::train(&baseline.exe, training_input, cache.telemetry()) {
+            Ok(profile) => Some(profile),
+            Err(e) => return Ok(Err(e)),
+        }
+    } else {
+        None
     };
-    let profile = crate::collect_profile_from(&baseline.exe, &training);
-    Ok(Ok(artifact_build_for(sources, config, Some(profile), dir, cache, target)?))
+    Ok(Ok(artifact_build_for(sources, config, profile, dir, cache, target)?))
 }

@@ -1,20 +1,27 @@
-//! The per-module pipeline stages and the worker pool they fan out on.
+//! The per-module pipeline stages, the one cached pass that runs each of
+//! them over a batch of modules, and the worker pool they fan out on.
 //!
-//! Everything here is deliberately *pure* with respect to the build: a
-//! stage maps (source, options) to products and fingerprints, with no
-//! knowledge of caching or artifact files. [`crate::compile_incremental`]
-//! and [`crate::separate`] compose these stages with the
-//! [cache](crate::CompilationCache) and the on-disk artifact formats.
+//! [`cached_phase1`] and [`cached_phase2`] are the only code that probes,
+//! computes, stores and counts cache entries: each probes the
+//! [cache](crate::CompilationCache) per module, computes the misses on the
+//! worker pool, stores them, and counts every hit, miss and eviction into
+//! the build's [`BuildReport`]. [`crate::compile_incremental`] runs them
+//! on a whole program, [`crate::separate::build_module_for`] on one module,
+//! and [`crate::separate::artifact_build_for`] around its artifact files.
+//! The stages themselves ([`run_phase1`], codegen) are pure: a stage maps
+//! (source, options) to products and fingerprints.
 
-use crate::cache::Phase1Entry;
-use crate::{CompileOptions, SourceFile};
+use crate::cache::{Phase1Entry, Phase2Entry};
+use crate::{BuildReport, CompilationCache, SourceFile};
 use cmin_frontend::{analyze as check_module, parse_module, CompileError};
 use cmin_ir::ir::{Callee, Inst as IrInst};
 use cmin_ir::{lower_module, optimize_module, IrModule};
-use ipra_core::analyzer::{AnalyzerOptions, PaperConfig};
 use ipra_core::fingerprint::Fnv64;
+use ipra_core::ProgramDatabase;
+use ipra_telemetry::span;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use vpr::target::TargetId;
 
 /// Applies `f` to every item on up to `jobs` scoped worker threads,
 /// preserving item order in the result. Work is pulled from a shared
@@ -58,7 +65,7 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(
 }
 
 /// Phase-1 cache key: module name + source text + optimize flag.
-pub(crate) fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
+fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(&src.name);
     h.write_str(&src.text);
@@ -70,9 +77,9 @@ pub(crate) fn phase1_key(src: &SourceFile, optimize: bool) -> u64 {
 /// are never served to an RV32 build (and vice versa). VPR mixes nothing,
 /// keeping every pre-machine-description fingerprint — and on-disk cache
 /// entry — valid.
-pub(crate) fn mix_target(fp: u64, target: vpr::target::TargetId) -> u64 {
+fn mix_target(fp: u64, target: TargetId) -> u64 {
     match target {
-        vpr::target::TargetId::Vpr => fp,
+        TargetId::Vpr => fp,
         t => {
             let mut h = Fnv64::new();
             h.write_u64(fp);
@@ -85,7 +92,7 @@ pub(crate) fn mix_target(fp: u64, target: vpr::target::TargetId) -> u64 {
 /// Every direct callee named anywhere in the module's IR, sorted and
 /// deduplicated: the procedures whose `safe_caller_across` sets codegen
 /// reads at call sites.
-pub(crate) fn direct_callees(ir: &IrModule) -> Vec<String> {
+fn direct_callees(ir: &IrModule) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     for f in &ir.functions {
         for b in f.block_ids() {
@@ -102,11 +109,7 @@ pub(crate) fn direct_callees(ir: &IrModule) -> Vec<String> {
 }
 
 /// Runs the full first phase for one module.
-pub(crate) fn run_phase1(
-    src: &SourceFile,
-    optimize: bool,
-    key: u64,
-) -> Result<Phase1Entry, CompileError> {
+fn run_phase1(src: &SourceFile, optimize: bool, key: u64) -> Result<Phase1Entry, CompileError> {
     let m = parse_module(&src.name, &src.text)?;
     let info = check_module(&m)?;
     let mut ir = lower_module(&m, &info);
@@ -120,15 +123,92 @@ pub(crate) fn run_phase1(
     Ok(Phase1Entry { key, ir_fp, callees, ir, summary })
 }
 
-/// Resolves the analyzer options a build will run under: explicit
-/// [`CompileOptions::analyzer`] wins, then `config`+`profile`, then plain
-/// level-2. The build's target is threaded in either way.
-pub(crate) fn analyzer_options(options: &CompileOptions) -> AnalyzerOptions {
-    let mut opts = match (&options.analyzer, options.config) {
-        (Some(a), _) => a.clone(),
-        (None, Some(c)) => AnalyzerOptions::paper_config(c, options.profile.clone()),
-        (None, None) => AnalyzerOptions::paper_config(PaperConfig::L2, None),
-    };
-    opts.target = options.target;
-    opts
+/// Compiler first phase over a batch of modules through `cache`, on up to
+/// `jobs` workers, counted into `report.phase1`. Modules are probed in
+/// order, misses computed in parallel and stored as they are collected.
+///
+/// # Errors
+///
+/// The first module's diagnostic in source order, whichever worker
+/// finished first. Modules that did compile stay stored, and the counts
+/// in `report` cover every module probed.
+pub(crate) fn cached_phase1(
+    sources: &[SourceFile],
+    optimize: bool,
+    jobs: usize,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Result<Vec<Arc<Phase1Entry>>, CompileError> {
+    let tele = cache.telemetry().cloned();
+    let keys: Vec<u64> = sources.iter().map(|s| phase1_key(s, optimize)).collect();
+    let mut entries: Vec<Option<Arc<Phase1Entry>>> = sources
+        .iter()
+        .zip(&keys)
+        .map(|(src, &key)| cache.lookup_phase1(&src.name, key, &mut report.phase1))
+        .collect();
+    let misses: Vec<usize> = (0..sources.len()).filter(|&i| entries[i].is_none()).collect();
+    let computed = parallel_map(&misses, jobs, |&i| {
+        let _task = span(tele.as_ref(), "phase1", &format!("phase1:{}", sources[i].name));
+        run_phase1(&sources[i], optimize, keys[i])
+    });
+    let mut first_error = None;
+    for (i, result) in misses.into_iter().zip(computed) {
+        match result {
+            Ok(entry) => {
+                entries[i] = Some(cache.store_phase1(&sources[i].name, entry, &mut report.phase1));
+            }
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        }
+    }
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(entries.into_iter().map(|e| e.expect("every module hit or compiled")).collect()),
+    }
+}
+
+/// Compiler second phase over a batch of phase-1 entries through `cache`,
+/// on up to `jobs` workers: each module is keyed on (IR fingerprint,
+/// fingerprint of its slice of `database`, target), and only misses re-run
+/// codegen. Counts go to `report.phase2`; the modules that re-ran are
+/// appended to `report.recompiled` in batch order.
+pub(crate) fn cached_phase2(
+    entries: &[Arc<Phase1Entry>],
+    database: &ProgramDatabase,
+    target: TargetId,
+    jobs: usize,
+    cache: &mut CompilationCache,
+    report: &mut BuildReport,
+) -> Vec<Phase2Entry> {
+    let tele = cache.telemetry().cloned();
+    let db_fps: Vec<u64> = entries
+        .iter()
+        .map(|e| {
+            let fp = database.module_slice_fingerprint(
+                e.ir.functions.iter().map(|f| f.name.as_str()),
+                e.callees.iter().map(|s| s.as_str()),
+            );
+            mix_target(fp, target)
+        })
+        .collect();
+    let mut objects: Vec<Option<Phase2Entry>> = entries
+        .iter()
+        .zip(&db_fps)
+        .map(|(e, &db_fp)| cache.lookup_phase2(&e.ir.name, e.ir_fp, db_fp, &mut report.phase2))
+        .collect();
+    let stale: Vec<usize> = (0..entries.len()).filter(|&i| objects[i].is_none()).collect();
+    let compiled = parallel_map(&stale, jobs, |&i| {
+        let ir = &entries[i].ir;
+        let _task = span(tele.as_ref(), "phase2", &format!("phase2:{}", ir.name));
+        cmin_codegen::compile_module_for(ir, database, target)
+    });
+    for (i, object) in stale.into_iter().zip(compiled) {
+        let e = &entries[i];
+        report.recompiled.push(e.ir.name.clone());
+        let entry = Phase2Entry { ir_fp: e.ir_fp, db_fp: db_fps[i], object };
+        cache.store_phase2(&e.ir.name, entry.clone(), &mut report.phase2);
+        objects[i] = Some(entry);
+    }
+    objects.into_iter().map(|o| o.expect("every module hit or compiled")).collect()
 }

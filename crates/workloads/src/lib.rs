@@ -265,14 +265,15 @@ mod tests {
                 if config == PaperConfig::L2 {
                     continue;
                 }
-                let program = if config.wants_profile() {
-                    ipra_driver::compile_with_profile(&w.sources, config, &w.training_input)
-                        .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                        .unwrap_or_else(|e| panic!("{}/{config}: trap {e}", w.name))
-                } else {
-                    compile(&w.sources, &CompileOptions::paper(config))
-                        .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                };
+                let program = ipra_driver::compile_configured(
+                    &w.sources,
+                    config,
+                    &w.training_input,
+                    &CompileOptions::default(),
+                    &mut ipra_driver::CompilationCache::new(),
+                )
+                .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
+                .unwrap_or_else(|e| panic!("{}/{config}: trap {e}", w.name));
                 let report = ipra_driver::verify_program(&program);
                 assert!(report.is_clean(), "{}/{config} failed verification:\n{report}", w.name);
                 let r = run_program(&program, &w.training_input)

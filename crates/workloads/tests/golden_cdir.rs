@@ -20,7 +20,7 @@ use ipra_artifact::{encode_for, ArtifactKind, DirectivesArtifact};
 use ipra_core::analyzer::{AnalyzerOptions, AnalyzerStats};
 use ipra_core::fingerprint::Fnv64;
 use ipra_core::{PaperConfig, ProgramDatabase};
-use ipra_driver::{compile, compile_with_profile, CompileOptions};
+use ipra_driver::{compile, compile_configured, CompilationCache, CompileOptions};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use vpr::target::TargetId;
@@ -59,14 +59,12 @@ fn current_fingerprints() -> String {
     let mut out = String::new();
     for w in ipra_workloads::all() {
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let program = if config.wants_profile() {
-                compile_with_profile(&w.sources, config, &w.training_input)
+            let mut cache = CompilationCache::new();
+            let options = CompileOptions::default();
+            let program =
+                compile_configured(&w.sources, config, &w.training_input, &options, &mut cache)
                     .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-                    .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name))
-            } else {
-                compile(&w.sources, &CompileOptions::paper(config))
-                    .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
-            };
+                    .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name));
             line(&mut out, w.name, config, &program.database, &program.stats);
         }
     }

@@ -11,6 +11,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "==> cargo doc --workspace (deny warnings: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "==> tier-1: cargo build --release"
 cargo build --release -q
 # The root build only compiles dependency *libraries*; the cminc binary

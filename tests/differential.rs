@@ -14,7 +14,9 @@
 //! observable behavior.
 
 use ipra_core::PaperConfig;
-use ipra_driver::{compile, compile_with_profile, interpret_sources, run_program, CompileOptions};
+use ipra_driver::{
+    compile, compile_configured, interpret_sources, run_program, CompilationCache, CompileOptions,
+};
 // One shared divergence-dump implementation, used here, by the fuzzer, and
 // by its reducer — one format for every debugging session.
 use ipra_fuzz::oracle::dump_divergence;
@@ -25,14 +27,11 @@ fn check_seed(sources: &[ipra_driver::SourceFile], label: &str) {
         .unwrap_or_else(|e| panic!("{label}: frontend error {e}"))
         .unwrap_or_else(|e| panic!("{label}: interpreter trap {e}"));
     for config in PaperConfig::ALL {
-        let program = if config.wants_profile() {
-            compile_with_profile(sources, config, &[])
+        let options = CompileOptions::default();
+        let program =
+            compile_configured(sources, config, &[], &options, &mut CompilationCache::new())
                 .unwrap_or_else(|e| panic!("{label}/{config}: compile error {e}"))
-                .unwrap_or_else(|e| panic!("{label}/{config}: training trap {e}"))
-        } else {
-            compile(sources, &CompileOptions::paper(config))
-                .unwrap_or_else(|e| panic!("{label}/{config}: compile error {e}"))
-        };
+                .unwrap_or_else(|e| panic!("{label}/{config}: training trap {e}"));
         let report = ipra_driver::verify_program(&program);
         assert!(report.is_clean(), "{label}/{config} failed verification:\n{report}");
         let r = run_program(&program, &[])
@@ -70,8 +69,7 @@ fn random_programs_agree_with_caller_preallocation() {
         let oracle = interpret_sources(&sources, &[]).unwrap().unwrap();
         let opts = AnalyzerOptions { caller_preallocation: true, ..AnalyzerOptions::default() };
         let program =
-            compile(&sources, &CompileOptions { analyzer: Some(opts), ..Default::default() })
-                .unwrap();
+            compile(&sources, &CompileOptions { analyzer: opts, ..Default::default() }).unwrap();
         let r = run_program(&program, &[]).unwrap();
         assert_eq!(r.output, oracle.output, "seed {seed} with caller preallocation");
         assert_eq!(r.exit, oracle.exit, "seed {seed} exit");

@@ -6,7 +6,9 @@
 //! ```
 
 use ipra_core::PaperConfig;
-use ipra_driver::{compile, interpret_sources, run_program, CompileOptions};
+use ipra_driver::{
+    compile_configured, interpret_sources, run_program, CompilationCache, CompileOptions,
+};
 use ipra_workloads::generator::{random_program_with, GenConfig};
 
 #[test]
@@ -22,11 +24,11 @@ fn five_hundred_seeds_across_all_configs() {
         let sources = random_program_with(seed.wrapping_mul(2654435761), &cfg);
         let oracle = interpret_sources(&sources, &[]).unwrap().unwrap();
         for config in PaperConfig::ALL {
-            let program = if config.wants_profile() {
-                ipra_driver::compile_with_profile(&sources, config, &[]).unwrap().unwrap()
-            } else {
-                compile(&sources, &CompileOptions::paper(config)).unwrap()
-            };
+            let options = CompileOptions::default();
+            let program =
+                compile_configured(&sources, config, &[], &options, &mut CompilationCache::new())
+                    .unwrap()
+                    .unwrap();
             let r = run_program(&program, &[]).unwrap();
             assert_eq!(r.output, oracle.output, "seed {seed} config {config}");
             assert_eq!(r.exit, oracle.exit, "seed {seed} config {config}");
