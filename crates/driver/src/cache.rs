@@ -135,7 +135,7 @@ const TAG_PHASE2: u8 = 2;
 /// compilation. Same-build reuse is unaffected — the in-memory tier serves
 /// entries the current process computed.
 #[derive(Debug)]
-pub(crate) struct DiskCache {
+struct DiskCache {
     root: PathBuf,
     pending: Vec<(PathBuf, Vec<u8>)>,
     /// Telemetry sink for tier traffic (reads/writes with byte counts);
