@@ -142,3 +142,24 @@ fn engine_selection_is_observation_equivalent_through_the_driver() {
     // And the default is the fast engine.
     assert_eq!(Engine::default(), Engine::Fast);
 }
+
+#[test]
+fn engines_agree_on_the_sparse_call_edge_path() {
+    // Above 1023 linked functions the fast engine's (nfuncs+1)² edge
+    // matrix would exceed 2²⁰ cells, so it counts call edges in a hash map
+    // instead; 342 scaled modules link 1027 functions.
+    let sources = ipra_workloads::scaled::scaled_program(342);
+    let mut cache = CompilationCache::new();
+    let program =
+        compile_configured(&sources, PaperConfig::C, &[], &CompileOptions::default(), &mut cache)
+            .expect("compile")
+            .expect("training run");
+    assert!(program.exe.funcs().len() >= 1024, "{} functions", program.exe.funcs().len());
+    for attribute in [true, false] {
+        let label = format!("scaled-342/C (attr {attribute})");
+        let opts = SimOptions { attribute, ..SimOptions::default() };
+        let r = both(&program.exe, &opts, &label)
+            .unwrap_or_else(|e| panic!("{label}: simulator trap {e}"));
+        assert!(r.stats.call_edges.len() > 1024, "{label}: {} edges", r.stats.call_edges.len());
+    }
+}
