@@ -1,9 +1,9 @@
 //! `sim_bench` — the simulator throughput benchmark.
 //!
-//! Pits the two VPR execution engines ([`vpr::Engine`]) against each other
-//! on the same executables and reports instructions/sec for each, the
-//! speedup, and a parity hash proving they produced bit-identical
-//! [`vpr::RunResult`]s:
+//! Pits the fast VPR engine ([`vpr::run_with`]) against the reference
+//! interpreter ([`vpr::sim::run_reference`]) on the same executables and
+//! reports instructions/sec for each, the speedup, and a parity hash
+//! proving they produced bit-identical [`vpr::RunResult`]s:
 //!
 //! * **scaled-N** — the execution-scaled variant of the compile-bench
 //!   workload ([`ipra_workloads::scaled::scaled_sim_program`]): a long
@@ -13,7 +13,7 @@
 //!
 //! Both engines pay the same per-run setup (registers, memory image,
 //! counters); the fast engine's one-time pre-decode is done once up front
-//! and reused across runs, which is exactly how the driver amortizes it.
+//! and reused across runs ([`vpr::decode`]).
 //! Memory is sized down from the 16 MiB default so the measurement is the
 //! dispatch loop, not `memset` — observables never depend on memory size
 //! as long as the program fits.
@@ -22,10 +22,9 @@
 //! `scripts/check.sh`) asserts parity on every row and a minimum speedup
 //! on the scaled workload, exiting nonzero otherwise.
 //!
-//! The default `--min-speedup` floor is deliberately modest: after the
-//! reference interpreter's own hot-path cleanup (dense counters, deduped
-//! trap paths) both engines are dispatch-bound, and the fast engine's win
-//! comes from pre-decoding and segment-batched accounting, not from a
+//! The default `--min-speedup` floor is deliberately modest: both engines
+//! are dispatch-bound, and the fast engine's win comes from pre-decoding,
+//! dense call counters and segment-batched accounting, not from a
 //! different execution model. (Superinstruction fusion of trap-free runs
 //! was prototyped and *measured slower* — a second dispatch site splits
 //! branch-predictor state without removing the per-op indirect branch —
@@ -155,11 +154,10 @@ fn measure(
         attribute: attributed,
         ..vpr::SimOptions::default()
     };
-    let ref_opts = vpr::SimOptions { engine: vpr::Engine::Reference, ..opts.clone() };
 
     // Parity first: the speedup of a wrong answer is not interesting.
     let fast = decoded.run_with(&opts);
-    let reference = vpr::run_with(exe, &ref_opts);
+    let reference = vpr::sim::run_reference(exe, &opts);
     let parity_ok = fast == reference;
     let fast =
         fast.unwrap_or_else(|e| panic!("{name}: bench workload trapped under fast engine: {e}"));
@@ -168,14 +166,13 @@ fn measure(
     // the fast engine and once on the reference, to certify the counters
     // are identical run-to-run and across engines.
     let prof_opts = vpr::SimOptions { profile: true, ..opts.clone() };
-    let prof_ref = vpr::SimOptions { engine: vpr::Engine::Reference, ..prof_opts.clone() };
     let snap = |r: Result<vpr::RunResult, vpr::SimError>| {
         let r = r.expect("profiled bench run trapped");
         r.profile.as_ref().expect("profiling was requested").sim_counters(exe, &r.stats)
     };
     let fast_counters = snap(decoded.run_with(&prof_opts));
     let counters_ok = fast_counters == snap(decoded.run_with(&prof_opts))
-        && fast_counters == snap(vpr::run_with(exe, &prof_ref));
+        && fast_counters == snap(vpr::sim::run_reference(exe, &prof_opts));
 
     let cycles_per_run = fast.stats.cycles;
     let runs = (TARGET_INSTRUCTIONS / cycles_per_run.max(1)).max(1);
@@ -183,7 +180,7 @@ fn measure(
         std::hint::black_box(decoded.run_with(&opts)).ok();
     });
     let reference_leg = time_leg(runs, cycles_per_run, || {
-        std::hint::black_box(vpr::run_with(exe, &ref_opts)).ok();
+        std::hint::black_box(vpr::sim::run_reference(exe, &opts)).ok();
     });
 
     SimRow {

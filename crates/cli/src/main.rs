@@ -82,9 +82,9 @@ const USAGE: &str = "usage:
   cminc link <mod.vo|lib.vlib>... [--allow-undefined] -o <prog.vx>
   cminc lib <mod.vo>... -o <lib.vlib>
   cminc verify <mod.vo>... [--db <prog.cdir>]
-  cminc run <prog.vx> [--input \"v v v\"] [--engine fast|ref] [--stats] [--stats-json <out.json>] [--metrics-out <m.json>] [--profile-out <prof.json>] [--asm]
+  cminc run <prog.vx> [--input \"v v v\"] [--stats] [--stats-json <out.json>] [--metrics-out <m.json>] [--profile-out <prof.json>] [--asm]
   cminc build <src.cmin>... [--config ...] [--target vpr|rv32] [-o <prog.vx>] [--cache-dir DIR] [-j|--jobs N] [--repeat N] [--verify] [--run] [--stats] [--trace <trace.json>] [--trace-out <t.json>] [--metrics-out <m.json>] [--stats-json <s.json>] [--input \"v v v\"]
-  cminc profile <prog.vx | src.cmin...> [--config ...] [--input \"v v v\"] [--engine fast|ref] [--top N] [--json <out.json>]
+  cminc profile <prog.vx | src.cmin...> [--config ...] [--input \"v v v\"] [--top N] [--json <out.json>]
   cminc stats <src.cmin>... [--config ...] [--input \"v v v\"] [-j|--jobs N] [--run]
   cminc objdump <artifact-file>
   cminc explain <symbol> (--trace <trace.json> | <src.cmin>... [--config ...]) [--target vpr|rv32]
@@ -123,13 +123,13 @@ telemetry (spans + counters, see docs/telemetry.md):
                       JSON — open in Perfetto or about://tracing; per-module
                       phase tasks carry their worker lane as the tid
   --metrics-out FILE  (build, run, fuzz) export the counters registry as
-                      canonical JSON: byte-identical across --jobs widths,
-                      engines, and machines (never contains wall-clock data)
+                      canonical JSON: byte-identical across --jobs widths
+                      and machines (never contains wall-clock data)
   --stats-json FILE   (build) machine-readable build stats: cache hit/miss
                       tiers + counters, deterministic (no wall-clock)
   profile             run a program with per-pc execution counts and print
                       symbolized per-procedure / hot-block / opcode tables;
-                      identical on both engines, totals equal run cycles
+                      totals equal run cycles
   stats               build (and optionally run) sources, print the
                       canonical metrics JSON on stdout
 
@@ -199,7 +199,6 @@ pub(crate) fn positionals(args: &[String]) -> Vec<String> {
                     | "--reduce-budget"
                     | "--dir"
                     | "--cache-dir"
-                    | "--engine"
                     | "--trace-out"
                     | "--metrics-out"
                     | "--top"
@@ -381,31 +380,13 @@ fn report_verify(report: &ipra_verify::VerifyReport) -> Result<(), String> {
 
 /// Deterministic simulator counters for one run: `sim.cycles`, memory and
 /// call totals, and `sim.op.<class>` instructions-retired per opcode class
-/// (from the run's [`vpr::ExecProfile`], so both engines agree exactly).
+/// (from the run's [`vpr::ExecProfile`]; every caller runs with profiling
+/// on).
 fn sim_counters(exe: &vpr::Executable, result: &vpr::RunResult) -> BTreeMap<String, u64> {
-    let mut c = match &result.profile {
-        Some(p) => p.sim_counters(exe, &result.stats),
-        None => {
-            // No profile recorded (no `sim.op.*` breakdown), but the
-            // RunStats totals are still deterministic counters.
-            let mut c = BTreeMap::new();
-            c.insert("sim.cycles".to_string(), result.stats.cycles);
-            c.insert("sim.loads".to_string(), result.stats.loads);
-            c.insert("sim.stores".to_string(), result.stats.stores);
-            c.insert("sim.calls".to_string(), result.stats.calls);
-            c
-        }
-    };
+    let profile = result.profile.as_ref().expect("profiling was requested");
+    let mut c = profile.sim_counters(exe, &result.stats);
     c.insert("sim.runs".to_string(), 1);
     c
-}
-
-fn parse_engine(args: &[String]) -> Result<vpr::Engine, String> {
-    match flag_value(args, "--engine").as_deref() {
-        None | Some("fast") => Ok(vpr::Engine::Fast),
-        Some("ref") | Some("reference") => Ok(vpr::Engine::Reference),
-        Some(other) => Err(format!("unknown engine `{other}` (use fast or ref)")),
-    }
 }
 
 fn run_cmd(args: &[String]) -> Result<(), String> {
@@ -421,12 +402,10 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     let input = parse_input(args)?;
     let stats_json = flag_value(args, "--stats-json");
     let metrics_out = flag_value(args, "--metrics-out");
-    let engine = parse_engine(args)?;
     let opts = vpr::SimOptions {
         input,
         attribute: stats_json.is_some(),
         profile: metrics_out.is_some(),
-        engine,
         ..vpr::SimOptions::default()
     };
     let result = vpr::run_with(&exe, &opts).map_err(|e| e.to_string())?;
@@ -470,12 +449,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
         );
     }
     if let Some(path) = flag_value(args, "--profile-out") {
-        let mut profile = ProfileData::new();
-        for (&(caller, callee), &count) in &result.stats.call_edges {
-            if let (Some(cr), Some(ce)) = (exe.funcs().get(caller), exe.funcs().get(callee)) {
-                profile.record_edge(&cr.name, &ce.name, count);
-            }
-        }
+        let profile = ipra_driver::collect_profile_from(&exe, &result);
         write(&path, &serde_json::to_string_pretty(&profile).expect("serialize"))?;
         eprintln!("profile: -> {path}");
     }
@@ -811,15 +785,13 @@ fn build_stats_json(
 /// `cminc profile`: run a program (an existing `.vx`, or sources compiled
 /// on the spot) with per-pc execution counts, and print symbolized
 /// per-procedure, hot-block and opcode-class tables. The profile is
-/// recorded identically by both engines, and every table totals to the
-/// run's cycle count exactly.
+/// every table totals to the run's cycle count exactly.
 fn profile_cmd(args: &[String]) -> Result<(), String> {
     let files = positionals(args);
     if files.is_empty() {
         return Err("profile needs an executable or source files".into());
     }
     let input = parse_input(args)?;
-    let engine = parse_engine(args)?;
     let top = match flag_value(args, "--top") {
         Some(v) => v.parse::<usize>().map_err(|e| format!("bad --top value `{v}`: {e}"))?,
         None => 10,
@@ -836,7 +808,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("training run trapped: {e}"))?
             .exe
     };
-    let opts = vpr::SimOptions { input, profile: true, engine, ..vpr::SimOptions::default() };
+    let opts = vpr::SimOptions { input, profile: true, ..vpr::SimOptions::default() };
     let result = vpr::run_with(&exe, &opts).map_err(|e| e.to_string())?;
     let profile = result.profile.as_ref().expect("profiling was requested");
     if profile.total() != result.stats.cycles {

@@ -220,15 +220,30 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtocolError> {
     FRAMES.decode(bytes, TAG_RESPONSE)
 }
 
-/// Fills `buf` from `r`, tolerating short reads; returns how many bytes
-/// arrived before EOF.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ProtocolError> {
+/// Fills `buf` from `r`, tolerating short reads and read timeouts
+/// (`WouldBlock`, `TimedOut` and `Interrupted` mean "read again"); returns
+/// how many bytes arrived before EOF. `stop` is consulted before each read
+/// while no byte has arrived: once it holds, `read_full` returns 0.
+fn read_full(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    mut stop: impl FnMut() -> bool,
+) -> Result<usize, ProtocolError> {
     let mut have = 0;
     while have < buf.len() {
+        if have == 0 && stop() {
+            break;
+        }
         match r.read(&mut buf[have..]) {
             Ok(0) => break,
             Ok(n) => have += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
             Err(e) => return Err(ProtocolError::Io(e.to_string())),
         }
     }
@@ -245,8 +260,25 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ProtocolError> 
 /// [`ProtocolError::Truncated`] when the stream ends mid-frame, any header
 /// check failure, or [`ProtocolError::Io`].
 pub fn read_frame(r: &mut impl Read, expect_tag: u8) -> Result<Option<Vec<u8>>, ProtocolError> {
+    read_frame_until(r, expect_tag, || false)
+}
+
+/// [`read_frame`] that also returns `Ok(None)` once `stop` holds while it
+/// waits for a frame to start. `stop` is consulted only before the first
+/// header byte: a frame that has begun arriving is read to completion (or
+/// typed truncation), never discarded. On a stream with a read timeout
+/// this is how a connection handler notices shutdown while idle.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_frame_until(
+    r: &mut impl Read,
+    expect_tag: u8,
+    stop: impl FnMut() -> bool,
+) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(r, &mut header)? {
+    match read_full(r, &mut header, stop)? {
         0 => return Ok(None),
         n if n < HEADER_LEN => return Err(ProtocolError::Truncated { need: HEADER_LEN, have: n }),
         _ => {}
@@ -255,7 +287,7 @@ pub fn read_frame(r: &mut impl Read, expect_tag: u8) -> Result<Option<Vec<u8>>, 
     let need = HEADER_LEN + payload_len + 8;
     let mut frame = vec![0u8; need];
     frame[..HEADER_LEN].copy_from_slice(&header);
-    let got = read_full(r, &mut frame[HEADER_LEN..])?;
+    let got = read_full(r, &mut frame[HEADER_LEN..], || false)?;
     if got < need - HEADER_LEN {
         return Err(ProtocolError::Truncated { need, have: HEADER_LEN + got });
     }

@@ -31,14 +31,14 @@
 //! the worker still finishes and populates the cache behind the scenes.
 
 use crate::protocol::{
-    self, BuildRequest, BuildResponse, Counter, ProtocolError, Request, Response, StatsResponse,
-    WireError, HEADER_LEN, TAG_REQUEST,
+    self, BuildRequest, BuildResponse, Counter, Request, Response, StatsResponse, WireError,
+    TAG_REQUEST,
 };
 use ipra_core::analyzer::PaperConfig;
 use ipra_driver::{CompilationCache, CompileOptions, SourceFile};
 use ipra_telemetry::Telemetry;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -241,54 +241,6 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads one request frame, polling so the handler notices shutdown while
-/// idle. Partial reads are never discarded: once a frame has started
-/// arriving we keep reading it to completion (or typed truncation).
-fn read_request(
-    stream: &mut UnixStream,
-    shared: &Shared,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut have = 0;
-    while have < HEADER_LEN {
-        if have == 0 && shared.shutting_down() {
-            return Ok(None);
-        }
-        match stream.read(&mut header[have..]) {
-            Ok(0) => {
-                return if have == 0 {
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::Truncated { need: HEADER_LEN, have })
-                };
-            }
-            Ok(n) => have += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e.to_string())),
-        }
-    }
-    let payload_len = protocol::check_header(&header, TAG_REQUEST)?;
-    let need = HEADER_LEN + payload_len + 8;
-    let mut frame = vec![0u8; need];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    let mut have = HEADER_LEN;
-    while have < need {
-        match stream.read(&mut frame[have..]) {
-            Ok(0) => return Err(ProtocolError::Truncated { need, have }),
-            Ok(n) => have += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e.to_string())),
-        }
-    }
-    Ok(Some(frame))
-}
-
 fn send_response(stream: &mut UnixStream, shared: &Shared, resp: &Response) -> bool {
     let frame = protocol::encode_response(resp);
     match stream.write_all(&frame).and_then(|()| stream.flush()) {
@@ -305,19 +257,20 @@ fn send_response(stream: &mut UnixStream, shared: &Shared, resp: &Response) -> b
 fn handle_connection(mut stream: UnixStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     loop {
-        let frame = match read_request(&mut stream, shared) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return, // clean EOF or idle at shutdown
-            Err(e) => {
-                // Framing is lost; report the rejection in-band
-                // (best-effort) and close.
-                shared.tele.add("daemon.protocol_errors", 1);
-                shared.tele.add(&format!("daemon.protocol_errors.{}", e.kind()), 1);
-                let resp = Response::Error(WireError::BadRequest(format!("protocol: {e}")));
-                let _ = send_response(&mut stream, shared, &resp);
-                return;
-            }
-        };
+        let frame =
+            match protocol::read_frame_until(&mut stream, TAG_REQUEST, || shared.shutting_down()) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return, // clean EOF or idle at shutdown
+                Err(e) => {
+                    // Framing is lost; report the rejection in-band
+                    // (best-effort) and close.
+                    shared.tele.add("daemon.protocol_errors", 1);
+                    shared.tele.add(&format!("daemon.protocol_errors.{}", e.kind()), 1);
+                    let resp = Response::Error(WireError::BadRequest(format!("protocol: {e}")));
+                    let _ = send_response(&mut stream, shared, &resp);
+                    return;
+                }
+            };
         let request = match protocol::decode_request(&frame) {
             Ok(r) => r,
             Err(e) => {

@@ -366,21 +366,6 @@ pub fn run_program(program: &CompiledProgram, input: &[i64]) -> Result<RunResult
     run_with(&program.exe, &opts)
 }
 
-/// [`run_program`] on an explicit [`vpr::Engine`] (the default runner uses
-/// the fast engine; the reference engine is the differential oracle).
-///
-/// # Errors
-///
-/// Propagates simulator traps ([`SimError`]).
-pub fn run_program_on(
-    program: &CompiledProgram,
-    input: &[i64],
-    engine: vpr::Engine,
-) -> Result<RunResult, SimError> {
-    let opts = SimOptions { input: input.to_vec(), engine, ..SimOptions::default() };
-    run_with(&program.exe, &opts)
-}
-
 /// Runs a compiled program with exact per-procedure attribution enabled
 /// ([`RunResult::attribution`] is `Some`). Attribution is pure observation:
 /// output, exit code and every [`vpr::sim::RunStats`] field are identical to

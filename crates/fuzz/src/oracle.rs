@@ -24,11 +24,11 @@
 //!    executable bit-identical to the in-memory `compile()` — the
 //!    serialization layer must be lossless and the artifact pipeline must
 //!    not perturb a single analyzer or codegen decision;
-//! 7. optionally ([`CheckOptions::cross_engine`]) the *other* simulator
-//!    engine (fast pre-decoded vs reference interpreter,
-//!    [`vpr::Engine`]) produces an identical `Result<RunResult, SimError>`
-//!    under every configuration — output, exit, stats, attribution, and
-//!    trap kind/pc/symbolization must all agree bit-for-bit;
+//! 7. optionally ([`CheckOptions::cross_engine`]) the reference
+//!    interpreter ([`vpr::sim::run_reference`]) produces the same
+//!    `Result<RunResult, SimError>` as the fast engine under every
+//!    configuration — output, exit, stats, attribution, and trap
+//!    kind/pc/symbolization must all agree bit-for-bit;
 //! 8. optionally ([`CheckOptions::cross_target`]) the whole program is
 //!    *also* compiled for the RV32 machine description under every
 //!    configuration — through the same incremental cache, so per-target
@@ -276,12 +276,9 @@ pub struct CheckOptions {
     /// `link` equivalent) and demand an executable bit-identical to the
     /// in-memory pipeline.
     pub separate: bool,
-    /// Which simulator engine runs the per-configuration differential leg
-    /// (the fuzzer rotates this so the reference interpreter keeps getting
-    /// fuzzed even though the fast engine is the default).
-    pub engine: vpr::Engine,
-    /// Additionally run every configuration's program under the *other*
-    /// engine and demand an identical `Result<RunResult, SimError>`.
+    /// Additionally run every configuration's program on the reference
+    /// interpreter and demand the fast engine's `Result<RunResult,
+    /// SimError>`.
     pub cross_engine: bool,
     /// Round-trip a build request/response synthesized from the generated
     /// program through the `cmind` wire codec, then prove every
@@ -333,17 +330,15 @@ pub fn check(sources: &[SourceFile], opts: &CheckOptions) -> Result<(), Failure>
         let sim_opts = vpr::SimOptions {
             attribute: true,
             max_steps: ORACLE_SIM_STEPS,
-            engine: opts.engine,
             ..vpr::SimOptions::default()
         };
         let primary = vpr::run_with(&program.exe, &sim_opts);
         if opts.cross_engine {
-            let other_opts = vpr::SimOptions { engine: opts.engine.other(), ..sim_opts.clone() };
-            let other = vpr::run_with(&program.exe, &other_opts);
-            if primary != other {
+            let reference = vpr::sim::run_reference(&program.exe, &sim_opts);
+            if primary != reference {
                 return Err(Failure::EngineDivergence {
                     config,
-                    detail: divergence_detail(opts.engine, &primary, &other),
+                    detail: divergence_detail(&primary, &reference),
                 });
             }
         }
@@ -432,16 +427,14 @@ fn check_cross_target(
     Ok(())
 }
 
-/// Names the first observable on which the two engines disagreed, with
-/// both values — compact enough for a corpus entry, precise enough to
-/// start debugging from.
+/// Names the first observable on which the fast engine and the reference
+/// disagreed, with both values — compact enough for a corpus entry,
+/// precise enough to start debugging from.
 fn divergence_detail(
-    primary: vpr::Engine,
-    a: &Result<vpr::RunResult, vpr::SimError>,
-    b: &Result<vpr::RunResult, vpr::SimError>,
+    fast: &Result<vpr::RunResult, vpr::SimError>,
+    reference: &Result<vpr::RunResult, vpr::SimError>,
 ) -> String {
-    let (pn, on) = (primary.name(), primary.other().name());
-    match (a, b) {
+    match (fast, reference) {
         (Ok(ra), Ok(rb)) => {
             let field = if ra.output != rb.output {
                 format!("output {:?} vs {:?}", ra.output, rb.output)
@@ -452,11 +445,11 @@ fn divergence_detail(
             } else {
                 "attribution differs".to_string()
             };
-            format!("{pn} vs {on}: {field}")
+            format!("fast vs reference: {field}")
         }
-        (Ok(_), Err(e)) => format!("{pn} ran clean but {on} trapped: {e}"),
-        (Err(e), Ok(_)) => format!("{pn} trapped but {on} ran clean: {e}"),
-        (Err(ea), Err(eb)) => format!("different traps: {pn} {ea} vs {on} {eb}"),
+        (Ok(_), Err(e)) => format!("fast ran clean but reference trapped: {e}"),
+        (Err(e), Ok(_)) => format!("fast trapped but reference ran clean: {e}"),
+        (Err(ea), Err(eb)) => format!("different traps: fast {ea} vs reference {eb}"),
     }
 }
 

@@ -14,11 +14,11 @@
 //! The dispatch loop is a single `match` over the 16-byte `Copy` op — a
 //! jump table after codegen — with the accounting restructured to keep the
 //! loop tight while staying *bit-identical* to the reference interpreter
-//! ([`crate::sim`]) in every observable:
+//! ([`crate::sim::run_reference`]) in every observable:
 //!
-//! * call/edge counters are dense `Vec`s (`CallCounters`, shared with the
-//!   reference engine) folded into the `BTreeMap`-shaped [`RunStats`] only
-//!   at `HALT`;
+//! * call/edge counters are dense `Vec`s (a hash map for edges above 1023
+//!   linked functions) folded into the `BTreeMap`-shaped [`RunStats`] only
+//!   at `HALT`, where the reference updates the maps on every call;
 //! * attribution charges cycles by *segment*: instead of bumping the
 //!   current procedure's counter every cycle, the loop tracks the cycle at
 //!   which the procedure on top of the shadow stack last changed and folds
@@ -27,18 +27,16 @@
 //!   transferring call/`Bv` itself — to the procedure that was on top when
 //!   it executed, the segment sums are exactly equal, cycle for cycle.
 //!
-//! Parity is enforced by the sim tests below (every reference test rerun on
-//! this engine), the `engines` parity suite (workloads × configs ×
-//! attribution, trap symbolization, step-limit equivalence), and the fuzz
-//! oracle's cross-engine differential layer.
+//! Parity is enforced by the tests below (each runs both engines), the
+//! `engines` parity suite (workloads × configs × attribution, trap
+//! symbolization, step-limit equivalence, the sparse edge path), and the
+//! fuzz oracle's cross-engine differential layer.
 
 use crate::inst::{AluOp, Cond, Inst};
 use crate::program::{Executable, GLOBALS_BASE};
 use crate::regs::Reg;
-use crate::sim::{
-    AttrState, CallCounters, RunResult, RunStats, SimError, SimOptions, STARTUP_PROC,
-};
-use std::collections::BTreeMap;
+use crate::sim::{AttrState, RunResult, RunStats, SimError, SimOptions, STARTUP_PROC};
+use std::collections::{BTreeMap, HashMap};
 
 /// A pre-decoded instruction: fixed-size, `Copy`, symbol-free.
 #[derive(Debug, Clone, Copy)]
@@ -144,6 +142,81 @@ pub fn decode(exe: &Executable) -> DecodedProgram<'_> {
     DecodedProgram { exe, ops, entry_func, nfuncs: exe.funcs().len() }
 }
 
+/// Dense per-function call and call-edge counters, folded into the
+/// `BTreeMap`-shaped [`RunStats`] maps only at `HALT` so the per-call hot
+/// path is two `Vec` index bumps instead of two map insertions. Slot
+/// `nfuncs` stands for "outside any linked procedure" (`usize::MAX` in the
+/// folded maps: the startup stub as a caller, a wild entry as a callee).
+struct CallCounters {
+    nfuncs: usize,
+    counts: Vec<u64>,
+    edges: EdgeCounters,
+}
+
+/// Edge counts are a dense `(nfuncs+1)²` matrix when small enough,
+/// otherwise a hash map (the fold sorts either way, so the folded
+/// `BTreeMap` is independent of the representation).
+enum EdgeCounters {
+    Dense(Vec<u64>),
+    Sparse(HashMap<(usize, usize), u64>),
+}
+
+impl CallCounters {
+    /// Above this many dense matrix cells (8 MiB of `u64`s), fall back to
+    /// the sparse representation.
+    const DENSE_EDGE_LIMIT: usize = 1 << 20;
+
+    fn new(nfuncs: usize) -> CallCounters {
+        let slots = nfuncs + 1;
+        let edges = if slots.saturating_mul(slots) <= Self::DENSE_EDGE_LIMIT {
+            EdgeCounters::Dense(vec![0; slots * slots])
+        } else {
+            EdgeCounters::Sparse(HashMap::new())
+        };
+        CallCounters { nfuncs, counts: vec![0; slots], edges }
+    }
+
+    /// Records one `caller_slot → callee_slot` call (both pre-clamped).
+    #[inline]
+    fn record_slots(&mut self, caller_slot: usize, callee_slot: usize) {
+        self.counts[callee_slot] += 1;
+        match &mut self.edges {
+            EdgeCounters::Dense(m) => m[caller_slot * (self.nfuncs + 1) + callee_slot] += 1,
+            EdgeCounters::Sparse(m) => *m.entry((caller_slot, callee_slot)).or_insert(0) += 1,
+        }
+    }
+
+    /// Folds the dense counters into `stats.call_counts` / `call_edges`,
+    /// skipping zero counts — the same maps as per-call `entry().or_insert`
+    /// updates, which only ever create entries with count ≥ 1.
+    fn fold_into(&self, stats: &mut RunStats) {
+        let unclamp = |slot: usize| if slot < self.nfuncs { slot } else { usize::MAX };
+        for (slot, &n) in self.counts.iter().enumerate() {
+            if n > 0 {
+                stats.call_counts.insert(unclamp(slot), n);
+            }
+        }
+        match &self.edges {
+            EdgeCounters::Dense(m) => {
+                let slots = self.nfuncs + 1;
+                for caller in 0..slots {
+                    for callee in 0..slots {
+                        let n = m[caller * slots + callee];
+                        if n > 0 {
+                            stats.call_edges.insert((unclamp(caller), unclamp(callee)), n);
+                        }
+                    }
+                }
+            }
+            EdgeCounters::Sparse(m) => {
+                for (&(caller, callee), &n) in m {
+                    stats.call_edges.insert((unclamp(caller), unclamp(callee)), n);
+                }
+            }
+        }
+    }
+}
+
 #[inline(always)]
 fn get(regs: &[i64; Reg::COUNT], r: u8) -> i64 {
     // Registers decode from `Reg`, so `r < 32` by construction; the mask
@@ -160,8 +233,7 @@ fn set(regs: &mut [i64; Reg::COUNT], r: u8, v: i64) {
 }
 
 impl DecodedProgram<'_> {
-    /// Runs the decoded program. `opts.engine` is ignored: this *is* the
-    /// fast engine.
+    /// Runs the decoded program.
     ///
     /// # Errors
     ///
@@ -430,7 +502,7 @@ mod tests {
     use super::*;
     use crate::inst::MemClass;
     use crate::program::{link, GlobalDef, MachineFunction, ObjectModule};
-    use crate::sim::Engine;
+    use crate::sim::run_reference;
 
     #[test]
     fn ops_are_small_and_copy() {
@@ -441,9 +513,8 @@ mod tests {
     /// Runs `exe` under both engines with the given options and demands
     /// bit-identical outcomes (including traps).
     fn both(exe: &Executable, opts: &SimOptions) -> Result<RunResult, SimError> {
-        let fast = crate::sim::run_with(exe, &SimOptions { engine: Engine::Fast, ..opts.clone() });
-        let reference =
-            crate::sim::run_with(exe, &SimOptions { engine: Engine::Reference, ..opts.clone() });
+        let fast = decode(exe).run_with(opts);
+        let reference = run_reference(exe, opts);
         assert_eq!(fast, reference);
         fast
     }
@@ -578,9 +649,7 @@ mod tests {
         for input in [vec![], vec![1, 2, 3], vec![-1, -2, -3, -4, -5, -6]] {
             let opts = SimOptions { input, attribute: true, ..SimOptions::default() };
             let reused = decoded.run_with(&opts).unwrap();
-            let fresh =
-                crate::sim::run_with(&exe, &SimOptions { engine: Engine::Reference, ..opts })
-                    .unwrap();
+            let fresh = run_reference(&exe, &opts).unwrap();
             assert_eq!(reused, fresh);
         }
     }

@@ -18,10 +18,11 @@
 //!   modules (what the linker resolves and `objdump` renders),
 //! * [`program`] — machine functions, object modules, and the
 //!   [linker](program::link),
-//! * [`sim`] — the reference simulator, with cycle, memory-reference
-//!   (singleton vs. other), and call-profile accounting,
-//! * [`exec`] — the fast pre-decoded execution engine, bit-identical to
-//!   [`sim`] in every observable (selected via [`sim::Engine`]),
+//! * [`sim`] — the simulator's options, results (cycle, memory-reference
+//!   — singleton vs. other — and call-profile accounting) and traps, plus
+//!   the reference interpreter ([`sim::run_reference`]), the oracle,
+//! * [`exec`] — the fast pre-decoded execution engine behind [`run`] and
+//!   [`run_with`], bit-identical to the reference in every observable,
 //! * [`profile`] — per-pc execution profiles recorded by both engines and
 //!   their derived opcode/block/procedure hot tables,
 //! * [`asm`] — diagnostic assembly rendering.
@@ -65,7 +66,6 @@ pub use program::{
 };
 pub use regs::{Reg, RegSet};
 pub use sim::{
-    run, run_with, Attribution, Engine, ProcCost, RunResult, RunStats, SimError, SimOptions,
-    STARTUP_PROC,
+    run, run_with, Attribution, ProcCost, RunResult, RunStats, SimError, SimOptions, STARTUP_PROC,
 };
 pub use target::{TargetDesc, TargetId};

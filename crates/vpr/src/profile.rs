@@ -215,7 +215,7 @@ mod tests {
     use crate::inst::{AluOp, Cond};
     use crate::program::{link, MachineFunction, ObjectModule};
     use crate::regs::Reg;
-    use crate::sim::{run_with, Engine, SimOptions};
+    use crate::sim::{run_reference, run_with, SimOptions};
 
     fn looping_exe() -> Executable {
         // sum 1..=5 via a COMB loop, then call leaf once.
@@ -251,13 +251,9 @@ mod tests {
     #[test]
     fn profile_totals_equal_cycles_and_engines_agree() {
         let exe = looping_exe();
-        let mut results = Vec::new();
-        for engine in [Engine::Fast, Engine::Reference] {
-            let opts = SimOptions { profile: true, engine, ..SimOptions::default() };
-            results.push(run_with(&exe, &opts).unwrap());
-        }
-        assert_eq!(results[0], results[1]);
-        let r = &results[0];
+        let opts = SimOptions { profile: true, ..SimOptions::default() };
+        let r = &run_with(&exe, &opts).unwrap();
+        assert_eq!(*r, run_reference(&exe, &opts).unwrap());
         let p = r.profile.as_ref().unwrap();
         assert_eq!(p.pc_counts.len(), exe.code_len());
         assert_eq!(p.total(), r.stats.cycles);

@@ -1,9 +1,13 @@
-//! The VPR simulator.
+//! The VPR simulator: run options, results and traps, plus the reference
+//! interpreter.
 //!
-//! An interpreter over a linked [`Executable`] that charges one cycle per
+//! [`run`] and [`run_with`] execute a linked [`Executable`] on the fast
+//! engine ([`crate::exec`]). [`run_reference`] interprets it one [`Inst`]
+//! at a time — the simplest implementation of the same semantics, kept as
+//! the oracle the fast engine is tested against. Both charge one cycle per
 //! instruction (the paper's Table 4 measures "total cycles measured by a
 //! simulator, excluding cache miss penalties" on a single-cycle RISC) and
-//! keeps the dynamic accounting the paper's evaluation needs:
+//! keep the dynamic accounting the paper's evaluation needs:
 //!
 //! * total cycles / instructions,
 //! * dynamic loads and stores, split into *singleton* and other references
@@ -19,42 +23,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Which execution engine interprets the program.
-///
-/// Both engines are bit-identical in every observable — [`RunResult`]
-/// (output, exit, stats, attribution) and [`SimError`] (kind, pc,
-/// symbolization) — a property enforced by the cross-engine fuzz oracle
-/// and the workloads×configs parity suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The pre-decoded direct-threaded engine ([`crate::exec`]): the
-    /// executable is lowered once into a flat fixed-size op array and run
-    /// by a tight jump-table dispatch loop. The default.
-    #[default]
-    Fast,
-    /// The original decode-and-dispatch interpreter over [`Inst`], kept as
-    /// the differential-testing oracle.
-    Reference,
-}
-
-impl Engine {
-    /// The other engine — the differential-testing counterpart.
-    pub fn other(self) -> Engine {
-        match self {
-            Engine::Fast => Engine::Reference,
-            Engine::Reference => Engine::Fast,
-        }
-    }
-
-    /// Short stable name (`fast` / `reference`), for reports and flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Fast => "fast",
-            Engine::Reference => "reference",
-        }
-    }
-}
-
 /// Options controlling a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
@@ -69,11 +37,8 @@ pub struct SimOptions {
     /// never changes the run's [`RunStats`].
     pub attribute: bool,
     /// Record per-pc execution counts ([`RunResult::profile`]). Exact, not
-    /// sampled; never changes the run's [`RunStats`], and both engines
-    /// produce identical profiles.
+    /// sampled; never changes the run's [`RunStats`].
     pub profile: bool,
-    /// Which execution engine to use; observables never depend on it.
-    pub engine: Engine,
 }
 
 impl Default for SimOptions {
@@ -84,7 +49,6 @@ impl Default for SimOptions {
             input: Vec::new(),
             attribute: false,
             profile: false,
-            engine: Engine::default(),
         }
     }
 }
@@ -288,104 +252,30 @@ pub fn run(exe: &Executable) -> Result<RunResult, SimError> {
     run_with(exe, &SimOptions::default())
 }
 
-/// Runs `exe` with explicit [`SimOptions`], dispatching on
-/// [`SimOptions::engine`].
+/// Runs `exe` with explicit [`SimOptions`] on the fast engine
+/// ([`crate::exec`]), decoding it first. To run one executable many times,
+/// [`decode`](crate::exec::decode) it once and call
+/// [`DecodedProgram::run_with`](crate::exec::DecodedProgram::run_with).
 ///
 /// # Errors
 ///
 /// See [`SimError`].
 pub fn run_with(exe: &Executable, opts: &SimOptions) -> Result<RunResult, SimError> {
-    match opts.engine {
-        Engine::Fast => crate::exec::decode(exe).run_with(opts),
-        Engine::Reference => Machine::new(exe, opts).run(),
-    }
+    crate::exec::decode(exe).run_with(opts)
 }
 
-/// Dense per-function call and call-edge counters, folded into the
-/// `BTreeMap`-shaped [`RunStats`] maps only at `HALT` so the per-call hot
-/// path is two `Vec` index bumps instead of two map insertions. Slot
-/// `nfuncs` stands for "outside any linked procedure" (`usize::MAX` in the
-/// folded maps: the startup stub as a caller, a wild entry as a callee).
-/// Shared by both engines so the fold — and thus the folded stats — is
-/// identical by construction.
-pub(crate) struct CallCounters {
-    nfuncs: usize,
-    counts: Vec<u64>,
-    edges: EdgeCounters,
-}
-
-/// Edge counts are a dense `(nfuncs+1)²` matrix when small enough,
-/// otherwise a hash map (the fold sorts either way, so the folded
-/// `BTreeMap` is independent of the representation).
-enum EdgeCounters {
-    Dense(Vec<u64>),
-    Sparse(std::collections::HashMap<(usize, usize), u64>),
-}
-
-impl CallCounters {
-    /// Above this many dense matrix cells (8 MiB of `u64`s), fall back to
-    /// the sparse representation.
-    const DENSE_EDGE_LIMIT: usize = 1 << 20;
-
-    pub(crate) fn new(nfuncs: usize) -> CallCounters {
-        let slots = nfuncs + 1;
-        let edges = if slots.saturating_mul(slots) <= Self::DENSE_EDGE_LIMIT {
-            EdgeCounters::Dense(vec![0; slots * slots])
-        } else {
-            EdgeCounters::Sparse(std::collections::HashMap::new())
-        };
-        CallCounters { nfuncs, counts: vec![0; slots], edges }
-    }
-
-    /// The counter slot for a function index (`usize::MAX` → slot `nfuncs`).
-    #[inline]
-    pub(crate) fn slot(&self, func: usize) -> usize {
-        if func < self.nfuncs {
-            func
-        } else {
-            self.nfuncs
-        }
-    }
-
-    /// Records one `caller_slot → callee_slot` call (both pre-clamped).
-    #[inline]
-    pub(crate) fn record_slots(&mut self, caller_slot: usize, callee_slot: usize) {
-        self.counts[callee_slot] += 1;
-        match &mut self.edges {
-            EdgeCounters::Dense(m) => m[caller_slot * (self.nfuncs + 1) + callee_slot] += 1,
-            EdgeCounters::Sparse(m) => *m.entry((caller_slot, callee_slot)).or_insert(0) += 1,
-        }
-    }
-
-    /// Folds the dense counters into `stats.call_counts` / `call_edges`,
-    /// skipping zero counts — bit-identical to per-call `entry().or_insert`
-    /// updates, which only ever create entries with count ≥ 1.
-    pub(crate) fn fold_into(&self, stats: &mut RunStats) {
-        let unclamp = |slot: usize| if slot < self.nfuncs { slot } else { usize::MAX };
-        for (slot, &n) in self.counts.iter().enumerate() {
-            if n > 0 {
-                stats.call_counts.insert(unclamp(slot), n);
-            }
-        }
-        match &self.edges {
-            EdgeCounters::Dense(m) => {
-                let slots = self.nfuncs + 1;
-                for caller in 0..slots {
-                    for callee in 0..slots {
-                        let n = m[caller * slots + callee];
-                        if n > 0 {
-                            stats.call_edges.insert((unclamp(caller), unclamp(callee)), n);
-                        }
-                    }
-                }
-            }
-            EdgeCounters::Sparse(m) => {
-                for (&(caller, callee), &n) in m {
-                    stats.call_edges.insert((unclamp(caller), unclamp(callee)), n);
-                }
-            }
-        }
-    }
+/// Runs `exe` on the reference interpreter: the differential-testing
+/// oracle for [`run_with`]. It interprets [`Inst`] directly, counts every
+/// call straight into the [`RunStats`] maps and charges every cycle to the
+/// procedure on top of its shadow stack, sharing no counting code with the
+/// fast engine; every observable — [`RunResult`] and [`SimError`] (kind,
+/// pc, symbolization) — must equal the fast engine's.
+///
+/// # Errors
+///
+/// See [`SimError`].
+pub fn run_reference(exe: &Executable, opts: &SimOptions) -> Result<RunResult, SimError> {
+    Machine::new(exe, opts).run()
 }
 
 // Per-slot attribution state: slot i < nfuncs is function index i, slot
@@ -447,8 +337,6 @@ struct Machine<'a> {
     stats: RunStats,
     // Shadow stack of function indices for call-edge accounting.
     shadow: Vec<usize>,
-    // Dense call/edge counters, folded into `stats` at `HALT`.
-    calls: CallCounters,
     // Per-procedure attribution (opt-in; `None` keeps the run untouched).
     attr: Option<AttrState>,
     // Per-pc execution counts (opt-in; `None` keeps the run untouched).
@@ -485,7 +373,6 @@ impl<'a> Machine<'a> {
             output: Vec::new(),
             stats: RunStats::default(),
             shadow: vec![usize::MAX],
-            calls: CallCounters::new(exe.funcs().len()),
             attr: opts.attribute.then(|| AttrState::new(exe.funcs().len())),
             prof: opts.profile.then(|| vec![0u64; exe.insts().len()]),
             rp: desc.rp,
@@ -557,8 +444,8 @@ impl<'a> Machine<'a> {
         self.stats.calls += 1;
         let callee = self.exe.func_at_entry(entry).unwrap_or(usize::MAX);
         let caller = *self.shadow.last().unwrap_or(&usize::MAX);
-        let (caller_slot, callee_slot) = (self.calls.slot(caller), self.calls.slot(callee));
-        self.calls.record_slots(caller_slot, callee_slot);
+        *self.stats.call_counts.entry(callee).or_insert(0) += 1;
+        *self.stats.call_edges.entry((caller, callee)).or_insert(0) += 1;
         self.shadow.push(callee);
         if let Some(a) = &mut self.attr {
             let slot = a.slot(callee);
@@ -690,7 +577,6 @@ impl<'a> Machine<'a> {
                 }
                 Inst::Halt => {
                     let exit = self.get(self.rv);
-                    self.calls.fold_into(&mut self.stats);
                     let attribution = self.finish_attribution();
                     let profile =
                         self.prof.take().map(|pc_counts| crate::profile::ExecProfile { pc_counts });

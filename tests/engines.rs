@@ -12,13 +12,13 @@
 
 use ipra_core::PaperConfig;
 use ipra_driver::{compile_configured, CompilationCache, CompileOptions, SourceFile};
-use vpr::{Engine, RunResult, SimError, SimOptions};
+use vpr::{RunResult, SimError, SimOptions};
 
 /// Runs `exe` under both engines with identical options and demands
 /// bit-identical outcomes, traps included.
 fn both(exe: &vpr::Executable, opts: &SimOptions, label: &str) -> Result<RunResult, SimError> {
-    let fast = vpr::run_with(exe, &SimOptions { engine: Engine::Fast, ..opts.clone() });
-    let reference = vpr::run_with(exe, &SimOptions { engine: Engine::Reference, ..opts.clone() });
+    let fast = vpr::run_with(exe, opts);
+    let reference = vpr::sim::run_reference(exe, opts);
     assert_eq!(fast, reference, "{label}: engines diverged");
     fast
 }
@@ -118,29 +118,6 @@ fn engines_agree_on_trap_kind_pc_and_symbolization() {
         matches!(err, SimError::MemFault { .. } | SimError::StepLimit { .. }),
         "unexpected trap {err}"
     );
-}
-
-#[test]
-fn engine_selection_is_observation_equivalent_through_the_driver() {
-    // The driver-level entry points must route to the requested engine and
-    // agree with each other.
-    let w = ipra_workloads::by_name("war").expect("war workload");
-    let mut cache = CompilationCache::new();
-    let program = compile_configured(
-        &w.sources,
-        PaperConfig::E,
-        &w.training_input,
-        &CompileOptions::default(),
-        &mut cache,
-    )
-    .expect("compile")
-    .expect("training run");
-    let fast = ipra_driver::run_program_on(&program, &w.input, Engine::Fast).expect("fast run");
-    let reference =
-        ipra_driver::run_program_on(&program, &w.input, Engine::Reference).expect("reference run");
-    assert_eq!(fast, reference);
-    // And the default is the fast engine.
-    assert_eq!(Engine::default(), Engine::Fast);
 }
 
 #[test]

@@ -19,7 +19,7 @@ use ipra_driver::{compile_configured, CompilationCache, CompileOptions};
 use ipra_telemetry::Telemetry;
 use serde::Value;
 use std::collections::HashMap;
-use vpr::{Engine, SimOptions};
+use vpr::SimOptions;
 
 /// Asserts Chrome-trace shape: a `traceEvents` array whose events carry
 /// name/cat/ph/ts/pid/tid, with `pid` always 1 and, per lane, `B`/`E`
@@ -111,20 +111,10 @@ fn counter_profiles_identical_across_engines_on_every_workload() {
     for w in ipra_workloads::all() {
         let program =
             build(&w.sources, PaperConfig::C, &w.training_input, &CompileOptions::default());
-        let mut runs = Vec::new();
-        for engine in [Engine::Fast, Engine::Reference] {
-            let opts = SimOptions {
-                input: w.input.clone(),
-                profile: true,
-                engine,
-                ..SimOptions::default()
-            };
-            runs.push(
-                vpr::run_with(&program.exe, &opts)
-                    .unwrap_or_else(|e| panic!("{}: trap {e}", w.name)),
-            );
-        }
-        let (fast, reference) = (&runs[0], &runs[1]);
+        let opts = SimOptions { input: w.input.clone(), profile: true, ..SimOptions::default() };
+        let trap = |e| panic!("{}: trap {e}", w.name);
+        let fast = &vpr::run_with(&program.exe, &opts).unwrap_or_else(trap);
+        let reference = &vpr::sim::run_reference(&program.exe, &opts).unwrap_or_else(trap);
         assert_eq!(fast, reference, "{}: engines diverged with profiling on", w.name);
         let fp = fast.profile.as_ref().expect("profiling was requested");
         let rp = reference.profile.as_ref().expect("profiling was requested");
@@ -184,10 +174,28 @@ fn trace_spans_cover_the_pipeline_and_workers_get_lanes() {
     for span in ["\"build\"", "\"phase1\"", "\"analyze\"", "\"phase2\"", "\"link\""] {
         assert!(json.contains(span), "trace missing the {span} span");
     }
-    // Per-module tasks are tagged with worker lanes: with 4 workers over 8
-    // modules at least one task landed off lane 0... and with the work
-    // pulled from a shared index, lane 1 always takes at least one item.
-    assert!(json.contains("\"tid\": 1"), "no span recorded on a worker lane");
-    assert!(json.contains("phase1:s0"), "no per-module phase-1 span");
-    assert!(json.contains("phase2:s0"), "no per-module phase-2 span");
+    // Per-module tasks run on the worker pool, whose lanes are 1..=jobs
+    // (lane 0 is the calling thread). Which worker takes which module is
+    // up to the scheduler, so every task's lane is checked, not a
+    // particular lane's share.
+    let v: Value = serde_json::from_str(&json).expect("trace JSON");
+    let Some(Value::Array(events)) = v.get("traceEvents") else {
+        panic!("no traceEvents array");
+    };
+    let mut tasks = HashMap::new();
+    for e in events {
+        let Some(Value::Str(name)) = e.get("name") else { panic!("event without a name") };
+        let Some((phase @ ("phase1" | "phase2"), _)) = name.split_once(":s") else { continue };
+        let lane = match e.get("tid") {
+            Some(Value::Int(n)) => *n,
+            Some(Value::UInt(n)) => *n as i64,
+            other => panic!("{name}: tid missing or non-integer: {other:?}"),
+        };
+        assert!((1..=4).contains(&lane), "{name} recorded on lane {lane}, not a worker lane");
+        if e.get("ph") == Some(&Value::Str("B".into())) {
+            *tasks.entry(phase).or_insert(0) += 1;
+        }
+    }
+    assert_eq!(tasks.get("phase1"), Some(&8), "per-module phase-1 spans");
+    assert_eq!(tasks.get("phase2"), Some(&8), "per-module phase-2 spans");
 }
