@@ -253,7 +253,7 @@ fn measure(modules: usize, jobs: usize, config: PaperConfig) -> SizeReport {
 
     // Cold, serial: every trial starts from an empty cache; the last
     // trial's (now fully populated) cache feeds the warm and edit legs.
-    let (mut cache, cold, cold_seconds) = timed_best(CompilationCache::new, |cache| {
+    let (cache, cold, cold_seconds) = timed_best(CompilationCache::new, |cache| {
         compile_incremental(&sources, &opts, cache).expect("cold build")
     });
 
@@ -269,8 +269,7 @@ fn measure(modules: usize, jobs: usize, config: PaperConfig) -> SizeReport {
     let counted = |opts: &CompileOptions| {
         let tele = Telemetry::new();
         let opts = CompileOptions { telemetry: Some(tele.clone()), ..opts.clone() };
-        compile_incremental(&sources, &opts, &mut CompilationCache::new())
-            .expect("counted cold build");
+        compile_incremental(&sources, &opts, &CompilationCache::new()).expect("counted cold build");
         tele.counters()
     };
     let counters = counted(&opts);
@@ -278,10 +277,8 @@ fn measure(modules: usize, jobs: usize, config: PaperConfig) -> SizeReport {
 
     // Warm: unchanged rebuilds through the populated cache (each trial
     // leaves the cache exactly as warm as it found it).
-    let (_, warm, warm_seconds) = timed_best(
-        || (),
-        |()| compile_incremental(&sources, &opts, &mut cache).expect("warm build"),
-    );
+    let (_, warm, warm_seconds) =
+        timed_best(|| (), |()| compile_incremental(&sources, &opts, &cache).expect("warm build"));
     assert_eq!(warm.exe, cold.exe, "warm build must be bit-identical to cold");
 
     // Disk cold: write-through into a directory wiped before every trial.
@@ -314,14 +311,13 @@ fn measure(modules: usize, jobs: usize, config: PaperConfig) -> SizeReport {
     let mut edited = None;
     for tune in 1..=TRIALS as i64 {
         perturb(&mut sources, modules / 2, tune);
-        let (p, s) =
-            timed(|| compile_incremental(&sources, &opts, &mut cache).expect("edit build"));
+        let (p, s) = timed(|| compile_incremental(&sources, &opts, &cache).expect("edit build"));
         edit_seconds = edit_seconds.min(s);
         edited = Some(p);
     }
     let edited = edited.expect("TRIALS >= 1");
-    let mut scratch = CompilationCache::new();
-    let fresh = compile_incremental(&sources, &opts, &mut scratch).expect("fresh edited build");
+    let scratch = CompilationCache::new();
+    let fresh = compile_incremental(&sources, &opts, &scratch).expect("fresh edited build");
     assert_eq!(edited.exe, fresh.exe, "incremental edit build must match a fresh build");
 
     SizeReport {
@@ -391,7 +387,7 @@ fn measure_scaling(config: PaperConfig) -> ScalingReport {
             let program = compile_incremental(
                 &scaled_program(modules),
                 &CompileOptions::paper(config),
-                &mut CompilationCache::new(),
+                &CompilationCache::new(),
             )
             .expect("scaling regime build");
             let mut row = ScalingRow { modules, seconds: f64::INFINITY, analyze_seconds: 0.0 };
@@ -436,8 +432,8 @@ fn measure_alias() -> AliasReport {
         },
     );
     let compile = |config| {
-        let mut cache = CompilationCache::new();
-        compile_incremental(&sources, &CompileOptions::paper(config), &mut cache)
+        let cache = CompilationCache::new();
+        compile_incremental(&sources, &CompileOptions::paper(config), &cache)
             .expect("alias regime build")
     };
     let c = compile(PaperConfig::C);

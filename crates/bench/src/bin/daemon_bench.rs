@@ -10,10 +10,14 @@
 //! * **warm 1** — one client re-requesting a primed program: pure cache
 //!   hits through one connection;
 //! * **cold N** — N clients submitting N distinct never-seen programs
-//!   concurrently: shard parallelism on misses;
+//!   concurrently: overlapping misses through the one cache;
 //! * **warm N** — N clients hammering the primed program concurrently:
 //!   the multi-tenant payoff, where one tenant's phase-1 work serves
 //!   everyone (the headline gate: ≥ 2× the cold single-client rate);
+//! * **edit N** — N clients, each making one-module edits of its own
+//!   primed program concurrently: the one content-keyed cache keeps every
+//!   client's modules, so a request misses phase 1 only on the module it
+//!   edited (gated: the daemon's phase-1 hit ratio over the leg ≥ 0.9);
 //! * **dedup** — N clients racing one identical never-seen request from
 //!   behind a barrier: the in-flight map must coalesce followers onto
 //!   the leader's build (`daemon.dedup.coalesced` ≥ 1).
@@ -26,13 +30,14 @@
 //!
 //! ```sh
 //! cargo run --release -p ipra-bench --bin daemon_bench             # 16 modules, 8 clients
-//! cargo run --release -p ipra-bench --bin daemon_bench -- --modules 8 --check
+//! cargo run --release -p ipra-bench --bin daemon_bench -- --clients 4 --check
 //! ```
 //!
-//! `--check` asserts the headline ratio (warm-N ≥ 2× cold-1), the dedup
-//! coalescing, and the byte checks, exiting nonzero otherwise — the CI
-//! smoke mode wired into `scripts/check.sh`. Results go to
-//! `BENCH_daemon.json`.
+//! `--check` asserts the headline ratio (warm-N ≥ 2× cold-1), the edit
+//! leg's phase-1 hit ratio (≥ 0.9, which one edited module in each
+//! request allows from 10 modules up), the dedup coalescing, and the byte
+//! checks, exiting nonzero otherwise — the CI smoke mode wired into
+//! `scripts/check.sh`. Results go to `BENCH_daemon.json`.
 
 use ipra_daemon::protocol::{executable_artifact, BuildRequest, WireSource};
 use ipra_daemon::{Client, Server, ServerOptions};
@@ -70,6 +75,9 @@ struct BenchReport {
     warm_1_rps: f64,
     cold_n_rps: f64,
     warm_n_rps: f64,
+    edit_n_rps: f64,
+    /// The daemon's phase-1 hit ratio over the edit leg (`--check`: ≥ 0.9).
+    edit_n_p1_hit_ratio: f64,
     /// The headline ratio the `--check` gate holds at ≥ 2.
     warm_n_over_cold_1: f64,
     warm_1_over_cold_1: f64,
@@ -218,7 +226,7 @@ fn main() -> ExitCode {
     eprintln!("  warm  1 client : {warm_1_rps:>8.1} req/s");
 
     // Cold, N clients: N distinct never-seen programs in flight at once
-    // (each lands on its fingerprint's shard, so misses can overlap).
+    // (the cache locks only per batch probe or store, so misses overlap).
     let cold_n_rps = rps_best(|| {
         let work: Vec<Vec<(BuildRequest, Arc<String>)>> = (0..clients)
             .map(|_| {
@@ -242,6 +250,41 @@ fn main() -> ExitCode {
         concurrent_leg(&socket, work)
     });
     eprintln!("  warm  {clients} clients: {warm_n_rps:>8.1} req/s");
+
+    // Edit, N clients: each primes its own program, then edits one module
+    // of it per request, all clients at once. A request should miss phase
+    // 1 only on the module it edited, whatever the other clients built.
+    let mut programs: Vec<Vec<SourceFile>> =
+        (0..clients).map(|_| unique_program(modules, &mut tune)).collect();
+    for program in &programs {
+        solo.build(&request_for(program)).expect("edit leg priming build");
+    }
+    let before = solo.stats().expect("stats before the edit leg");
+    let mut edits = 0usize;
+    let edit_n_rps = rps_best(|| {
+        let work: Vec<Vec<(BuildRequest, Arc<String>)>> = programs
+            .iter_mut()
+            .map(|program| {
+                (0..REQUESTS)
+                    .map(|_| {
+                        edits += 1;
+                        tune += 1;
+                        let module = edits % modules;
+                        program[module] = scaled_module(module, modules, tune);
+                        (request_for(program), oracle_vx(program))
+                    })
+                    .collect()
+            })
+            .collect();
+        concurrent_leg(&socket, work)
+    });
+    let after = solo.stats().expect("stats after the edit leg");
+    let delta = |name: &str| counter(&after, name) - counter(&before, name);
+    let (hits, misses) = (delta("daemon.shard0.p1.hits"), delta("daemon.shard0.p1.misses"));
+    let edit_n_p1_hit_ratio = hits as f64 / (hits + misses).max(1) as f64;
+    eprintln!(
+        "  edit  {clients} clients: {edit_n_rps:>8.1} req/s, phase-1 hit ratio {edit_n_p1_hit_ratio:.3}"
+    );
 
     // Dedup: N clients race one identical never-seen request from behind
     // a barrier; followers must coalesce onto the leader's build.
@@ -269,6 +312,8 @@ fn main() -> ExitCode {
         warm_1_rps,
         cold_n_rps,
         warm_n_rps,
+        edit_n_rps,
+        edit_n_p1_hit_ratio,
         warm_n_over_cold_1: warm_n_rps / cold_1_rps.max(1e-9),
         warm_1_over_cold_1: warm_1_rps / cold_1_rps.max(1e-9),
         bytes_ok,
@@ -288,6 +333,13 @@ fn main() -> ExitCode {
                 "warm {clients}-client throughput not ≥ 2x cold single-client \
                  ({warm_n_rps:.1} vs {cold_1_rps:.1} req/s, {:.2}x)",
                 report.warm_n_over_cold_1
+            ));
+        }
+        if report.edit_n_p1_hit_ratio < 0.9 {
+            failures.push(format!(
+                "edit {clients}-client phase-1 hit ratio {:.3} < 0.9: requests miss modules \
+                 they did not edit",
+                report.edit_n_p1_hit_ratio
             ));
         }
         if report.dedup.coalesced < 1 {

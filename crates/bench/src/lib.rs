@@ -76,9 +76,9 @@ pub fn measure_workload(w: &Workload, fast: bool) -> WorkloadRow {
 
     // One cache for every configuration: B/F train on a baseline build
     // whose phases the other configurations already compiled.
-    let mut cache = CompilationCache::new();
-    let mut build = |config: PaperConfig| {
-        compile_configured(&w.sources, config, &w.training_input, &Default::default(), &mut cache)
+    let cache = CompilationCache::new();
+    let build = |config: PaperConfig| {
+        compile_configured(&w.sources, config, &w.training_input, &Default::default(), &cache)
             .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
             .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name))
     };

@@ -127,11 +127,10 @@ pub fn c_cmd(args: &[String]) -> Result<(), String> {
         None => ProgramDatabase::new(),
     };
     let target = crate::parse_target(args)?;
-    let mut cache = open_cache(args)?;
+    let cache = open_cache(args)?;
     let src = SourceFile::new(stem, read(src_path)?);
-    let product =
-        ipra_driver::separate::build_module_for(&src, &database, true, &mut cache, target)
-            .map_err(|e| e.to_string())?;
+    let product = ipra_driver::separate::build_module_for(&src, &database, true, &cache, target)
+        .map_err(|e| e.to_string())?;
     // The object carries machine code for `target`; the summary is phase-1
     // output (target-independent) and stays unstamped.
     ipra_artifact::write_file_for(ArtifactKind::Object, Path::new(&out), &product.object, target)

@@ -90,7 +90,7 @@ const USAGE: &str = "usage:
   cminc explain <symbol> (--trace <trace.json> | <src.cmin>... [--config ...]) [--target vpr|rv32]
   cminc report <src.cmin>... --config-b L2|A|B|C|D|E|F|P [--config-a ...] [--input \"v v v\"] [--json <out.json>]
   cminc fuzz [--seed N] [--iters N | --time-budget SECS] [-j|--jobs N] [--corpus DIR] [--reduce-budget N] [--self-validate] [--metrics-out <m.json>]
-  cminc serve --socket PATH [--cache-dir DIR] [-j|--jobs N] [--shards N] [--cap N] [--timeout SECS]
+  cminc serve --socket PATH [--cache-dir DIR] [-j|--jobs N] [--cap N] [--timeout SECS]
   cminc remote build <src.cmin>... --socket PATH [--config ...] [-o <prog.vx>] [--input \"v v v\"]
   cminc remote ping|stats|shutdown --socket PATH
 
@@ -203,7 +203,6 @@ pub(crate) fn positionals(args: &[String]) -> Vec<String> {
                     | "--metrics-out"
                     | "--top"
                     | "--socket"
-                    | "--shards"
                     | "--cap"
                     | "--timeout"
                     | "--target"
@@ -485,11 +484,10 @@ fn explain_cmd(args: &[String]) -> Result<(), String> {
                 target: parse_target(args)?,
                 ..ipra_driver::CompileOptions::default()
             };
-            let mut cache = ipra_driver::CompilationCache::new();
-            let program =
-                ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-                    .map_err(|e| e.to_string())?
-                    .map_err(|e| format!("training run trapped: {e}"))?;
+            let cache = ipra_driver::CompilationCache::new();
+            let program = ipra_driver::compile_configured(&sources, config, &input, &opts, &cache)
+                .map_err(|e| e.to_string())?
+                .map_err(|e| format!("training run trapped: {e}"))?;
             program.trace.expect("tracing was requested")
         }
     };
@@ -657,7 +655,7 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
     let stats_json = flag_value(args, "--stats-json");
     let telemetry =
         (trace_out.is_some() || metrics_out.is_some() || stats_json.is_some()).then(Telemetry::new);
-    let mut cache = artifacts::open_cache(args)?;
+    let cache = artifacts::open_cache(args)?;
     let mut program = None;
     for i in 0..repeat {
         let opts = ipra_driver::CompileOptions {
@@ -667,7 +665,7 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
             target,
             ..ipra_driver::CompileOptions::default()
         };
-        let built = ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
+        let built = ipra_driver::compile_configured(&sources, config, &input, &opts, &cache)
             .map_err(|e| e.to_string())?
             .map_err(|e| format!("training run trapped: {e}"))?;
         if stats && repeat > 1 && i + 1 < repeat {
@@ -801,9 +799,9 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
     } else {
         let sources = read_sources(&files)?;
         let config = parse_config(args)?;
-        let mut cache = ipra_driver::CompilationCache::new();
+        let cache = ipra_driver::CompilationCache::new();
         let opts = ipra_driver::CompileOptions::default();
-        ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
+        ipra_driver::compile_configured(&sources, config, &input, &opts, &cache)
             .map_err(|e| e.to_string())?
             .map_err(|e| format!("training run trapped: {e}"))?
             .exe
@@ -890,8 +888,8 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
         telemetry: Some(telemetry.clone()),
         ..ipra_driver::CompileOptions::default()
     };
-    let mut cache = ipra_driver::CompilationCache::new();
-    let program = ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
+    let cache = ipra_driver::CompilationCache::new();
+    let program = ipra_driver::compile_configured(&sources, config, &input, &opts, &cache)
         .map_err(|e| e.to_string())?
         .map_err(|e| format!("training run trapped: {e}"))?;
     if has_flag(args, "--run") {
@@ -906,38 +904,23 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 }
 
 /// `cminc serve`: run `cmind`, the build-service daemon, until a client
-/// sends a shutdown request. All sessions share one sharded, optionally
-/// size-capped, optionally persistent compilation cache.
+/// sends a shutdown request. All sessions share one size-capped,
+/// optionally persistent compilation cache. Starts from
+/// `ServerOptions::new`'s defaults and overrides only the flags given.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     let socket = flag_value(args, "--socket").ok_or("serve needs --socket PATH")?;
-    let jobs = match flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?,
-        None => 1,
-    };
-    let shards = match flag_value(args, "--shards") {
-        Some(v) => v.parse::<usize>().map_err(|e| format!("bad --shards value `{v}`: {e}"))?,
-        None => 4,
-    };
-    let capacity = match flag_value(args, "--cap") {
-        Some(v) => Some(v.parse::<usize>().map_err(|e| format!("bad --cap value `{v}`: {e}"))?),
-        None => None,
-    };
-    let request_timeout = match flag_value(args, "--timeout") {
-        Some(v) => {
-            let secs = v.parse::<u64>().map_err(|e| format!("bad --timeout value `{v}`: {e}"))?;
-            Some(std::time::Duration::from_secs(secs))
-        }
-        None => None,
-    };
-    let opts = ipra_daemon::ServerOptions {
-        socket: socket.clone().into(),
-        jobs,
-        cache_dir: flag_value(args, "--cache-dir").map(Into::into),
-        shards,
-        capacity,
-        request_timeout,
-        telemetry: Telemetry::new(),
-    };
+    let mut opts = ipra_daemon::ServerOptions::new(&socket);
+    if let Some(v) = flag_value(args, "--jobs").or_else(|| flag_value(args, "-j")) {
+        opts.jobs = v.parse().map_err(|e| format!("bad --jobs value `{v}`: {e}"))?;
+    }
+    if let Some(v) = flag_value(args, "--cap") {
+        opts.capacity = Some(v.parse().map_err(|e| format!("bad --cap value `{v}`: {e}"))?);
+    }
+    if let Some(v) = flag_value(args, "--timeout") {
+        let secs = v.parse().map_err(|e| format!("bad --timeout value `{v}`: {e}"))?;
+        opts.request_timeout = Some(std::time::Duration::from_secs(secs));
+    }
+    opts.cache_dir = flag_value(args, "--cache-dir").map(Into::into);
     let server = ipra_daemon::Server::start(opts).map_err(|e| format!("serve: {socket}: {e}"))?;
     eprintln!("cmind: listening on {socket}");
     server.wait();
@@ -1026,11 +1009,10 @@ fn remote_build(args: &[String], srcs: &[String], socket: &str) -> Result<(), St
             // construction.
             eprintln!("cminc: daemon unavailable ({e}); building locally");
             let opts = ipra_driver::CompileOptions::default();
-            let mut cache = ipra_driver::CompilationCache::new();
-            let program =
-                ipra_driver::compile_configured(&sources, config, &input, &opts, &mut cache)
-                    .map_err(|e| e.to_string())?
-                    .map_err(|e| format!("training run trapped: {e}"))?;
+            let cache = ipra_driver::CompilationCache::new();
+            let program = ipra_driver::compile_configured(&sources, config, &input, &opts, &cache)
+                .map_err(|e| e.to_string())?
+                .map_err(|e| format!("training run trapped: {e}"))?;
             let (vx, _) = ipra_daemon::protocol::executable_artifact(&program.exe);
             write_vx_text(out.as_deref(), &vx)
         }

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use vpr::regs::RegSet;
 
 /// How (and whether) global variables are promoted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PromotionMode {
     /// No interprocedural promotion.
     Off,
@@ -120,8 +120,10 @@ impl std::fmt::Display for PaperConfig {
     }
 }
 
-/// Analyzer options.
-#[derive(Debug, Clone)]
+/// Analyzer options. Their positional binary encoding
+/// ([`serde::BinSerialize`]) covers every field, so it can key a cache of
+/// analyses.
+#[derive(Debug, Clone, Serialize)]
 pub struct AnalyzerOptions {
     /// Perform spill code motion (clusters + register usage sets)?
     pub spill_motion: bool,

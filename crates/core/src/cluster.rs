@@ -22,6 +22,7 @@
 //! its non-back-edge predecessors.
 
 use crate::callgraph::{CallGraph, NodeId};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// One cluster: a root plus its member nodes.
@@ -83,7 +84,7 @@ impl Clustering {
 }
 
 /// Tunables for root selection.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ClusterHeuristics {
     /// A node becomes a root when (calls into dominated successors) >
     /// `root_gain` × (incoming calls).

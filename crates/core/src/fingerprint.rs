@@ -12,8 +12,9 @@
 //! thread schedules, which is exactly what a build cache key needs. A
 //! collision would mean a stale object is reused; at 64 bits over a handful
 //! of modules that risk is negligible for a build cache (and any paranoia
-//! can be settled by `cargo clean`'s moral equivalent,
-//! `CompilationCache::clear`).
+//! can be settled by `cargo clean`'s moral equivalents:
+//! `CompilationCache::clear` for the memory tiers, deleting the cache
+//! directory for the disk tier).
 
 /// An incremental FNV-1a 64-bit hasher.
 ///

@@ -9,11 +9,12 @@
 //!   frames (the codec the cache tier uses, [`ipra_artifact::frame`]) over
 //!   a Unix-domain socket, with a typed [`ProtocolError`] for every way a
 //!   frame can be rejected;
-//! * [`server`] — the daemon: a sharded, size-capped, LRU-evicting
-//!   [`CompilationCache`](ipra_driver::CompilationCache) shared by every
-//!   session, in-flight request dedup (identical concurrent requests ride
-//!   one build), per-request timeouts, per-shard telemetry counters, and
-//!   graceful drain;
+//! * [`server`] — the daemon: one content-addressed, size-capped,
+//!   LRU-evicting [`CompilationCache`](ipra_driver::CompilationCache)
+//!   shared by every session and locked only per batch probe or store,
+//!   in-flight request dedup (identical concurrent requests ride one
+//!   build), per-request timeouts, cache telemetry counters, and graceful
+//!   drain;
 //! * [`client`] — the client: one call per request/response round trip,
 //!   with a fingerprint cross-check that refuses mismatched bytes.
 //!
@@ -33,4 +34,4 @@ pub use protocol::{
     BuildRequest, BuildResponse, Counter, ProtocolError, Request, Response, StatsResponse,
     WireError, WireSource,
 };
-pub use server::{Server, ServerOptions};
+pub use server::{Server, ServerOptions, DEFAULT_CAPACITY};

@@ -1,5 +1,5 @@
-//! The `cmind` server: accept loop, per-connection threads, the sharded
-//! shared cache, in-flight dedup, per-request timeouts, graceful drain.
+//! The `cmind` server: accept loop, per-connection threads, the one shared
+//! cache, in-flight dedup, per-request timeouts, graceful drain.
 //!
 //! ## Why sharing one cache across clients is safe
 //!
@@ -12,17 +12,19 @@
 //! whole safety argument, and it is why the stress tests compare daemon
 //! responses byte-for-byte against solo cold builds.
 //!
-//! ## Sharding and dedup
+//! ## One cache, and dedup
 //!
-//! The cache is split into `shards` independently locked
-//! [`CompilationCache`]s; a request maps to the shard of its fingerprint,
-//! so unrelated programs compile concurrently while identical programs
-//! meet the same shard (and usually the same in-flight slot first). All
-//! shards share one disk directory when persistence is enabled — entries
-//! are content-addressed, so concurrent writers can only race on
-//! identical bytes.
+//! Every request builds through one [`CompilationCache`]. Its keys name
+//! content, not modules, so the programs of many clients — and the
+//! versions one client's edits leave behind — coexist in it up to
+//! [`ServerOptions::capacity`], and a build reuses whatever any earlier
+//! build computed. The cache locks only around each batch probe or store,
+//! never across a phase, the analyzer or a training run, so concurrent
+//! builds overlap their work. With persistence enabled it writes through
+//! to one disk directory, content-addressed like the memory tier. Its
+//! counters are exported as `daemon.shard0.*`: the one cache is shard 0.
 //!
-//! In-flight dedup sits above the shards: the first request for a
+//! In-flight dedup sits above the cache: the first request for a
 //! fingerprint becomes the *leader* and spawns the build; requests that
 //! arrive while it runs become *followers* and wait on the leader's slot
 //! (`daemon.dedup.coalesced` counts them). Every waiter — leader
@@ -53,13 +55,13 @@ pub struct ServerOptions {
     pub socket: PathBuf,
     /// Worker threads per build's parallel phases (0 = one per core).
     pub jobs: usize,
-    /// Persistent cache directory, shared by every shard (entries are
-    /// content-addressed, so shards cannot clobber each other).
+    /// Persistent cache directory (entries are content-addressed, so
+    /// concurrent writers can only race on identical bytes).
     pub cache_dir: Option<PathBuf>,
-    /// Number of cache shards (clamped to at least 1).
-    pub shards: usize,
-    /// Per-shard in-memory size cap (entries per tier map); `None` is
-    /// unbounded. See [`CompilationCache::set_capacity`].
+    /// In-memory size cap of the shared cache, in entries per tier map;
+    /// `None` is unbounded. Content keys keep every version any request
+    /// produced, so an uncapped daemon grows with every edit; the default
+    /// is [`DEFAULT_CAPACITY`]. See [`CompilationCache::set_capacity`].
     pub capacity: Option<usize>,
     /// Per-request build timeout. `None` waits indefinitely.
     pub request_timeout: Option<Duration>,
@@ -68,16 +70,20 @@ pub struct ServerOptions {
     pub telemetry: Telemetry,
 }
 
+/// The default [`ServerOptions::capacity`]: 4096 entries per tier map,
+/// room for 16 programs of 256 modules with every module cached once.
+pub const DEFAULT_CAPACITY: usize = 4096;
+
 impl ServerOptions {
-    /// Defaults for a daemon at `socket`: 4 shards, no size cap, no
-    /// timeout, memory-only cache, fresh telemetry.
+    /// Defaults for a daemon at `socket`: one build worker, a cache capped
+    /// at [`DEFAULT_CAPACITY`], no timeout, memory-only cache, fresh
+    /// telemetry.
     pub fn new(socket: impl Into<PathBuf>) -> ServerOptions {
         ServerOptions {
             socket: socket.into(),
             jobs: 1,
             cache_dir: None,
-            shards: 4,
-            capacity: None,
+            capacity: Some(DEFAULT_CAPACITY),
             request_timeout: None,
             telemetry: Telemetry::new(),
         }
@@ -94,7 +100,7 @@ struct Inflight {
 struct Shared {
     opts: ServerOptions,
     tele: Telemetry,
-    shards: Vec<Mutex<CompilationCache>>,
+    cache: CompilationCache,
     inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
     shutdown: AtomicBool,
     /// Connection-handler threads, joined at drain time.
@@ -143,21 +149,16 @@ impl Server {
         let _ = std::fs::remove_file(&opts.socket);
         let listener = UnixListener::bind(&opts.socket)?;
         listener.set_nonblocking(true)?;
-        let shards = opts.shards.max(1);
-        let mut caches = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let mut cache = match &opts.cache_dir {
-                Some(dir) => CompilationCache::with_disk(dir)?,
-                None => CompilationCache::new(),
-            };
-            cache.set_capacity(opts.capacity);
-            caches.push(Mutex::new(cache));
-        }
+        let cache = match &opts.cache_dir {
+            Some(dir) => CompilationCache::with_disk(dir)?,
+            None => CompilationCache::new(),
+        };
+        cache.set_capacity(opts.capacity);
         let tele = opts.telemetry.clone();
         let shared = Arc::new(Shared {
             opts,
             tele,
-            shards: caches,
+            cache,
             inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -316,8 +317,9 @@ fn stats_snapshot(shared: &Shared) -> StatsResponse {
     StatsResponse { counters }
 }
 
-/// Leads or follows the in-flight build for this request's fingerprint,
-/// then waits (with the per-request timeout) for the result.
+/// Leads or follows the in-flight build for this request's fingerprint
+/// (the whole-request fingerprint is the dedup key and nothing else), then
+/// waits (with the per-request timeout) for the result.
 fn handle_build(shared: &Arc<Shared>, req: BuildRequest) -> Result<BuildResponse, WireError> {
     let fp = req.fingerprint();
     let (slot, leader) = {
@@ -336,7 +338,7 @@ fn handle_build(shared: &Arc<Shared>, req: BuildRequest) -> Result<BuildResponse
         let worker_shared = Arc::clone(shared);
         let worker_slot = Arc::clone(&slot);
         let handle = std::thread::spawn(move || {
-            let result = run_build(&worker_shared, &req, fp);
+            let result = run_build(&worker_shared, &req);
             // Retire the fingerprint *before* publishing: once a result
             // exists, later arrivals should lead a fresh (cache-warm)
             // build and report their own accounting, not adopt this one's.
@@ -383,9 +385,9 @@ fn wait_for_slot(slot: &Inflight, timeout: Option<Duration>) -> Result<BuildResp
     guard.as_ref().expect("slot filled").clone()
 }
 
-/// The leader's computation: pick the fingerprint's shard, compile under
-/// its lock, export per-shard counters, package the `.vx` artifact.
-fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildResponse, WireError> {
+/// The leader's computation: compile through the shared cache, export the
+/// cache counters, package the `.vx` artifact.
+fn run_build(shared: &Shared, req: &BuildRequest) -> Result<BuildResponse, WireError> {
     let config = PaperConfig::parse(&req.config)
         .ok_or_else(|| WireError::BadRequest(format!("unknown config `{}`", req.config)))?;
     if req.sources.is_empty() {
@@ -407,19 +409,16 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
         telemetry: Some(build_tele.clone()),
         ..CompileOptions::default()
     };
-    let shard_index = (fp % shared.shards.len() as u64) as usize;
-    let mut cache = shared.shards[shard_index].lock().expect("shard lock");
     let built = ipra_driver::compile_configured(
         &sources,
         config,
         &req.training_input,
         &options,
-        &mut cache,
+        &shared.cache,
     );
-    drop(cache);
     for (name, value) in build_tele.counters() {
         shared.tele.add(&name, value);
-        export_shard_counter(&shared.tele, shard_index, &name, value);
+        export_cache_counter(&shared.tele, &name, value);
     }
     shared.tele.add("daemon.builds", 1);
     let program = match built {
@@ -438,9 +437,10 @@ fn run_build(shared: &Shared, req: &BuildRequest, fp: u64) -> Result<BuildRespon
 
 /// Mirrors one of a build's phase counters (`phase1.hits` …
 /// `phase2.evictions`; a failed build counts the phases that ran) as the
-/// shard's `daemon.shard{i}.p1.hits` … `.p2.evictions`. Zero counts stay
-/// unexported.
-fn export_shard_counter(tele: &Telemetry, shard: usize, name: &str, value: u64) {
+/// cache's `daemon.shard0.p1.hits` … `.p2.evictions` — the names from when
+/// the cache was split into shards, kept for the readers of `stats`. Zero
+/// counts stay unexported.
+fn export_cache_counter(tele: &Telemetry, name: &str, value: u64) {
     let Some((phase, what)) = name.split_once('.') else { return };
     let short = match phase {
         "phase1" => "p1",
@@ -448,6 +448,6 @@ fn export_shard_counter(tele: &Telemetry, shard: usize, name: &str, value: u64) 
         _ => return,
     };
     if value > 0 && matches!(what, "hits" | "misses" | "evictions") {
-        tele.add(&format!("daemon.shard{shard}.{short}.{what}"), value);
+        tele.add(&format!("daemon.shard0.{short}.{what}"), value);
     }
 }

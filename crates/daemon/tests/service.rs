@@ -1,13 +1,14 @@
 //! End-to-end service smoke: a real `cmind` on a real socket — ping,
 //! build (byte-compared against a local cold compile), dedup counters,
-//! stats endpoint, request timeout, graceful shutdown.
+//! stats endpoint, request timeout, graceful shutdown, and the one shared
+//! cache's accounting.
 
 use ipra_core::PaperConfig;
 use ipra_daemon::protocol::{BuildRequest, WireSource};
 use ipra_daemon::{Client, ClientError, Server, ServerOptions, WireError};
 use ipra_driver::{compile, CompileOptions, SourceFile};
 use ipra_telemetry::Telemetry;
-use ipra_workloads::scaled::scaled_program;
+use ipra_workloads::scaled::{scaled_module, scaled_program};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -171,17 +172,16 @@ fn builds_during_shutdown_are_refused_but_in_flight_work_drains() {
     server.wait();
 }
 
-/// The `daemon.shard{i}.*` counters of a one-shard, size-capped daemon,
+/// The `daemon.shard0.*` counters of a size-capped daemon's one cache,
 /// checked exactly after each kind of request: a cold and a warm build, a
 /// profile-fed build (two legs), a build that evicts, and a build whose
 /// source fails to compile. Counters that never moved stay unexported.
+/// Keys are content, so every version of a module takes its own entry:
+/// each leg of a profile-fed build adds phase-2 entries beside the ones
+/// it does not reuse, and the cap evicts the least recently used.
 #[test]
 fn shard_counters_account_every_kind_of_build() {
-    let opts = ServerOptions {
-        shards: 1,
-        capacity: Some(4),
-        ..ServerOptions::new(sock("shard-counters"))
-    };
+    let opts = ServerOptions { capacity: Some(4), ..ServerOptions::new(sock("shard-counters")) };
     let server = Server::start(opts).expect("server start");
     let mut client = Client::connect(server.socket()).expect("connect");
     let request = |config: &str, sources: &[SourceFile]| BuildRequest {
@@ -211,23 +211,34 @@ fn shard_counters_account_every_kind_of_build() {
     builder.build(&request("C", &three)).expect("warm build");
     shard_counters(&[("p1.hits", 3), ("p1.misses", 3), ("p2.hits", 3), ("p2.misses", 3)]);
 
-    // B trains at L2 and rebuilds with the profile: both legs count.
+    // B trains at L2 and rebuilds with the profile: both legs count. The
+    // L2 leg's three objects join C's three (two evicted at the cap of
+    // four); the B leg's three push out three more.
     builder.build(&request("B", &three)).expect("profile-fed build");
-    shard_counters(&[("p1.hits", 9), ("p1.misses", 3), ("p2.hits", 3), ("p2.misses", 9)]);
+    shard_counters(&[
+        ("p1.hits", 9),
+        ("p1.misses", 3),
+        ("p2.evictions", 5),
+        ("p2.hits", 3),
+        ("p2.misses", 9),
+    ]);
 
-    // Six modules through a four-entry cap evict from both tiers.
+    // Six modules, two of them unchanged from the three-module program:
+    // phase 1 hits those two and stores four, evicting three; phase 2
+    // misses all six (a new database) and evicts one per store.
     builder.build(&request("C", &scaled_program(6))).expect("evicting build");
     shard_counters(&[
-        ("p1.evictions", 2),
+        ("p1.evictions", 3),
         ("p1.hits", 11),
         ("p1.misses", 7),
-        ("p2.evictions", 2),
+        ("p2.evictions", 11),
         ("p2.hits", 3),
         ("p2.misses", 15),
     ]);
 
     // A module that fails to parse: phase 1 still counts every module it
-    // probed, and phase 2 never runs.
+    // probed (all evicted by now) and stores the two that compiled, and
+    // phase 2 never runs.
     let mut broken = scaled_program(3);
     broken[1].text = "int f( {".to_string();
     match builder.build(&request("C", &broken)) {
@@ -235,12 +246,63 @@ fn shard_counters_account_every_kind_of_build() {
         other => panic!("expected a compile error, got {other:?}"),
     }
     shard_counters(&[
-        ("p1.evictions", 3),
+        ("p1.evictions", 5),
         ("p1.hits", 11),
         ("p1.misses", 10),
-        ("p2.evictions", 2),
+        ("p2.evictions", 11),
         ("p2.hits", 3),
         ("p2.misses", 15),
     ]);
+    server.stop();
+}
+
+fn p1_misses(client: &mut Client) -> u64 {
+    let counters = client.stats().expect("stats");
+    counters.iter().find(|c| c.name == "daemon.shard0.p1.misses").map_or(0, |c| c.value)
+}
+
+/// Two clients alternate one-module edits of two distinct 16-module
+/// programs through one daemon. The cache keys content, so neither
+/// client's builds push out or shadow the other's modules: after priming,
+/// each request misses phase 1 on exactly the module it edited, and every
+/// reply is a cold compile's bytes.
+#[test]
+fn alternating_clients_miss_only_the_module_they_edited() {
+    const MODULES: usize = 16;
+    let server = Server::start(ServerOptions::new(sock("alternate"))).expect("server start");
+    let mut stats = Client::connect(server.socket()).expect("connect");
+    let request = |sources: &[SourceFile]| BuildRequest {
+        config: "C".to_string(),
+        optimize: true,
+        sources: wire_sources(sources),
+        training_input: Vec::new(),
+    };
+    let cold_vx = |sources: &[SourceFile]| {
+        let program = compile(sources, &CompileOptions::paper(PaperConfig::C)).expect("compile");
+        ipra_daemon::protocol::executable_artifact(&program.exe).0
+    };
+    let mut programs: Vec<Vec<SourceFile>> = (0..2)
+        .map(|c| (0..MODULES).map(|i| scaled_module(i, MODULES, 100 * (c as i64 + 1))).collect())
+        .collect();
+    let mut clients: Vec<Client> =
+        (0..2).map(|_| Client::connect(server.socket()).expect("connect")).collect();
+    for (client, program) in clients.iter_mut().zip(&programs) {
+        client.build(&request(program)).expect("priming build");
+    }
+    for round in 0..6 {
+        for (c, client) in clients.iter_mut().enumerate() {
+            let module = (round * 5 + c * 3) % MODULES;
+            let tune = 1000 + (2 * round + c) as i64;
+            programs[c][module] = scaled_module(module, MODULES, tune);
+            let before = p1_misses(&mut stats);
+            let built = client.build(&request(&programs[c])).expect("edit build");
+            assert_eq!(
+                p1_misses(&mut stats) - before,
+                1,
+                "client {c} round {round}: phase 1 must miss exactly the edited module"
+            );
+            assert_eq!(built.vx, cold_vx(&programs[c]), "client {c} round {round}: wrong bytes");
+        }
+    }
     server.stop();
 }

@@ -1,20 +1,33 @@
 //! The incremental recompilation cache (paper §3's summary-file design).
 //!
-//! Two tiers share one fingerprint scheme:
+//! One content-addressed store holds every product a build can reuse,
+//! each in its own least-recently-used map ([`Lru`]):
 //!
-//! * an **in-memory** tier keyed per module name — phase 1 on a
-//!   source-content fingerprint, phase 2 on (IR fingerprint,
-//!   database-slice fingerprint) — serving repeated builds inside one
-//!   process;
-//! * an optional **on-disk** tier (enabled through
-//!   [`CompilationCache::with_disk`] / `cminc --cache-dir`) holding the
-//!   same entries content-addressed by their keys, so the fingerprints
-//!   persist across *process* invocations: a one-module edit in a fresh
-//!   `cminc` run recompiles only modules whose directive slices moved.
+//! * **phase 1** keyed on the phase-1 key (module name, source text,
+//!   optimize flag);
+//! * **phase 2** keyed on (IR fingerprint, database-slice fingerprint);
+//! * **the analysis memo** keyed on the in-order summary fingerprints plus
+//!   the binary encoding of the full
+//!   [`AnalyzerOptions`](ipra_core::analyzer::AnalyzerOptions), profile and
+//!   target included, so an edit that leaves every summary alone skips the
+//!   analyzer.
 //!
-//! Every lookup and store counts itself into the [`PhaseStats`] of the
-//! build that made it — hits, disk hits, misses, evictions — so a build's
-//! [`BuildReport`] is the one record of what the cache did for it.
+//! Keys name content, not modules, so several versions of a module — one
+//! per program that shares the cache, or per edit — coexist up to the
+//! capacity. An optional **on-disk** tier ([`CompilationCache::with_disk`],
+//! `cminc --cache-dir`) holds the phase-1 and phase-2 entries under the
+//! same keys, so the fingerprints persist across *process* invocations.
+//!
+//! The cache takes `&self`: one mutex guards the three maps and is held
+//! only around one batch probe or one batch store — never while a phase
+//! computes, the analyzer runs or a training run executes — so builds
+//! that share the cache (every `cmind` request) overlap their work. A lock
+//! poisoned by a panic is recovered by clearing the maps.
+//!
+//! Every probe and store counts itself into the [`PhaseStats`] of the
+//! build that made it — hits, disk hits, misses, evictions — and into the
+//! build's telemetry, so a build's [`BuildReport`] is the one record of
+//! what the cache did for it.
 //!
 //! Reuse across builds — including builds at *different*
 //! [`PaperConfig`](ipra_core::analyzer::PaperConfig)s — is sound because a
@@ -23,13 +36,16 @@
 
 use cmin_ir::IrModule;
 use ipra_artifact::frame::FrameFormat;
+use ipra_core::analyzer::AnalyzerStats;
 use ipra_core::fingerprint::Fnv64;
+use ipra_core::ProgramDatabase;
 use ipra_summary::ModuleSummary;
 use ipra_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{BinDeserialize, BinSerialize, Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vpr::program::ObjectModule;
 
 /// Cache accounting for one phase of one build.
@@ -69,7 +85,7 @@ impl PhaseStats {
 pub struct BuildReport {
     /// Compiler first phase (parse → check → lower → optimize → summarize).
     pub phase1: PhaseStats,
-    /// Program analyzer seconds (always runs; it is whole-program).
+    /// Program analyzer seconds (a memo hit skips the analyzer itself).
     pub analyze_seconds: f64,
     /// Compiler second phase (register allocation + emission).
     pub phase2: PhaseStats,
@@ -91,6 +107,9 @@ pub(crate) struct Phase1Entry {
     pub(crate) key: u64,
     /// Fingerprint of the optimized IR (what phase 2 consumes).
     pub(crate) ir_fp: u64,
+    /// Fingerprint of the summary's positional binary encoding (what the
+    /// analyzer consumes; part of the analysis memo key).
+    pub(crate) summary_fp: u64,
     /// Direct callees named anywhere in the IR — the procedures whose
     /// database slice codegen will consult at call sites.
     pub(crate) callees: Vec<String>,
@@ -105,19 +124,171 @@ pub(crate) struct Phase2Entry {
     pub(crate) object: ObjectModule,
 }
 
+/// The analyzer products a build uses, as memoized: the database and the
+/// statistics (the per-web report is not kept).
+#[derive(Debug)]
+pub(crate) struct Analyzed {
+    pub(crate) database: ProgramDatabase,
+    pub(crate) stats: AnalyzerStats,
+}
+
+/// How many analyses the memo keeps. One per program in active use is
+/// enough — a memo hit needs the summaries of the build before — so a
+/// small fixed bound keeps a long-lived daemon's memory flat.
+const ANALYSES: usize = 32;
+
 /// The disk tier's frames ([`ipra_artifact::frame`]): the positional
 /// binary codec straight between structs and bytes, so a disk-warm build
 /// decodes each entry once and stays faster than compiling. The payload
 /// cap is the length prefix's own limit.
 ///
-/// v3: `RegSet`'s positional binary encoding widened from 4 to 8 bytes
-/// with the u64 backing; v2 frames from older cache directories must read
-/// as misses, not as shifted garbage (v1 frames held a `Value` tree).
-const FRAMES: FrameFormat = FrameFormat { magic: *b"IPRF", version: 3, max_payload: u32::MAX };
-/// Frame tag for phase-1 entries: a phase-1 frame never decodes as phase 2.
-const TAG_PHASE1: u8 = 1;
-/// Frame tag for phase-2 entries.
-const TAG_PHASE2: u8 = 2;
+/// v4: phase-1 entries gained `summary_fp`. Frames from older cache
+/// directories must read as misses, not as shifted garbage (v3 widened
+/// `RegSet` to 8 bytes; v1 frames held a `Value` tree).
+const FRAMES: FrameFormat = FrameFormat { magic: *b"IPRF", version: 4, max_payload: u32::MAX };
+
+/// A map with an optional size cap and deterministic least-recently-used
+/// eviction: recency is a per-map operation tick (not wall clock), bumped
+/// on every hit and insert, so the eviction order is a pure function of
+/// the operation sequence — never hash-map order. `order` indexes the
+/// entries by tick, so finding the victim is a first-key pop.
+#[derive(Debug)]
+pub(crate) struct Lru<K, V> {
+    entries: HashMap<K, (V, u64)>,
+    order: BTreeMap<u64, K>,
+    tick: u64,
+    cap: Option<usize>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    fn new(cap: Option<usize>) -> Lru<K, V> {
+        Lru { entries: HashMap::new(), order: BTreeMap::new(), tick: 0, cap }
+    }
+
+    /// The entry under `key`, marked most recently used.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let (value, used) = self.entries.get_mut(key)?;
+        self.tick += 1;
+        self.order.remove(used);
+        *used = self.tick;
+        self.order.insert(self.tick, key.clone());
+        Some(value.clone())
+    }
+
+    /// Inserts (or replaces) an entry as the most recently used, then
+    /// evicts down to the cap; returns how many entries were evicted.
+    fn insert(&mut self, key: K, value: V) -> usize {
+        self.tick += 1;
+        if let Some((_, used)) = self.entries.insert(key.clone(), (value, self.tick)) {
+            self.order.remove(&used);
+        }
+        self.order.insert(self.tick, key);
+        self.shrink()
+    }
+
+    /// Sets the cap and evicts down to it.
+    fn set_cap(&mut self, cap: Option<usize>) {
+        self.cap = cap;
+        self.shrink();
+    }
+
+    fn shrink(&mut self) -> usize {
+        let Some(cap) = self.cap else { return 0 };
+        let mut evicted = 0;
+        while self.entries.len() > cap {
+            let (_, victim) = self.order.pop_first().expect("a map above its cap is non-empty");
+            self.entries.remove(&victim);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// The in-memory tiers, behind the cache's one lock.
+#[derive(Debug)]
+pub(crate) struct Tiers {
+    phase1: Lru<u64, Arc<Phase1Entry>>,
+    phase2: Lru<(u64, u64), Arc<Phase2Entry>>,
+    analyses: Lru<u64, Arc<Analyzed>>,
+}
+
+impl Tiers {
+    fn clear(&mut self) {
+        self.phase1.clear();
+        self.phase2.clear();
+        self.analyses.clear();
+    }
+}
+
+/// A cache entry kind that has a map in [`Tiers`] and a directory in the
+/// disk tier.
+pub(crate) trait Entry: BinSerialize + BinDeserialize {
+    /// The content key the entry is stored under.
+    type Key: Copy + Eq + Hash;
+    /// Frame tag: a frame of one kind never decodes as another.
+    const TAG: u8;
+    /// Disk-tier subdirectory, and the `cache.<tier>.*` counter prefix.
+    const TIER: &'static str;
+    fn key(&self) -> Self::Key;
+    /// The disk tier's file name for `key`.
+    fn file_id(key: Self::Key) -> u64;
+    fn map(tiers: &mut Tiers) -> &mut Lru<Self::Key, Arc<Self>>;
+}
+
+impl Entry for Phase1Entry {
+    type Key = u64;
+    const TAG: u8 = 1;
+    const TIER: &'static str = "p1";
+    fn key(&self) -> u64 {
+        self.key
+    }
+    fn file_id(key: u64) -> u64 {
+        key
+    }
+    fn map(tiers: &mut Tiers) -> &mut Lru<u64, Arc<Phase1Entry>> {
+        &mut tiers.phase1
+    }
+}
+
+impl Entry for Phase2Entry {
+    type Key = (u64, u64);
+    const TAG: u8 = 2;
+    const TIER: &'static str = "p2";
+    fn key(&self) -> (u64, u64) {
+        (self.ir_fp, self.db_fp)
+    }
+    fn file_id((ir_fp, db_fp): (u64, u64)) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(ir_fp);
+        h.write_u64(db_fp);
+        h.finish()
+    }
+    fn map(tiers: &mut Tiers) -> &mut Lru<(u64, u64), Arc<Phase2Entry>> {
+        &mut tiers.phase2
+    }
+}
+
+/// Adds `n` to counter `key` when a collector is attached and `n > 0`.
+fn count(tele: Option<&Telemetry>, key: &str, n: usize) {
+    if let (Some(t), true) = (tele, n > 0) {
+        t.add(key, n as u64);
+    }
+}
+
+/// Adds `n` to counter `cache.<tier>.<what>` of `E`'s tier.
+fn count_tier<E: Entry>(tele: Option<&Telemetry>, what: &str, n: usize) {
+    count(tele, &format!("cache.{}.{what}", E::TIER), n);
+}
 
 /// The persistent tier: cache entries as binary frames content-addressed
 /// by their fingerprint keys under `p1/` and `p2/` of a cache directory.
@@ -137,10 +308,7 @@ const TAG_PHASE2: u8 = 2;
 #[derive(Debug)]
 struct DiskCache {
     root: PathBuf,
-    pending: Vec<(PathBuf, Vec<u8>)>,
-    /// Telemetry sink for tier traffic (reads/writes with byte counts);
-    /// attached per build by [`CompilationCache::set_telemetry`].
-    tele: Option<Telemetry>,
+    pending: Mutex<Vec<(PathBuf, Vec<u8>)>>,
 }
 
 impl DiskCache {
@@ -148,85 +316,44 @@ impl DiskCache {
     /// `root`, `root/p1` or `root/p2` is returned.
     fn open(root: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
         let root = root.into();
-        std::fs::create_dir_all(root.join("p1"))?;
-        std::fs::create_dir_all(root.join("p2"))?;
-        Ok(DiskCache { root, pending: Vec::new(), tele: None })
+        std::fs::create_dir_all(root.join(Phase1Entry::TIER))?;
+        std::fs::create_dir_all(root.join(Phase2Entry::TIER))?;
+        Ok(DiskCache { root, pending: Mutex::new(Vec::new()) })
     }
 
-    /// The cache directory this tier persists under.
-    fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn phase1_path(&self, key: u64) -> PathBuf {
-        self.root.join("p1").join(format!("{key:016x}.bin"))
-    }
-
-    fn phase2_path(&self, ir_fp: u64, db_fp: u64) -> PathBuf {
-        let mut h = Fnv64::new();
-        h.write_u64(ir_fp);
-        h.write_u64(db_fp);
-        self.root.join("p2").join(format!("{:016x}.bin", h.finish()))
-    }
-
-    /// Records the outcome of one disk-tier load attempt: read traffic in
-    /// bytes, plus a corrupt-frame counter when a file read fine but failed
-    /// to decode or fingerprint-check (it degrades to a miss).
-    fn count_load<T>(&self, bytes: &[u8], decoded: &Option<T>) {
-        if let Some(t) = &self.tele {
-            t.add("cache.disk.reads", 1);
-            t.add("cache.disk.read_bytes", bytes.len() as u64);
-            if decoded.is_none() {
-                t.add("cache.disk.corrupt", 1);
-            }
-        }
+    fn path<E: Entry>(&self, key: E::Key) -> PathBuf {
+        self.root.join(E::TIER).join(format!("{:016x}.bin", E::file_id(key)))
     }
 
     /// Loads one entry; any decode error, or embedded fingerprints that do
-    /// not match the requested key, is a miss.
-    fn load_phase1(&self, key: u64) -> Option<Phase1Entry> {
-        let bytes = std::fs::read(self.phase1_path(key)).ok()?;
-        let e = FRAMES.decode(&bytes, TAG_PHASE1).ok().filter(|e: &Phase1Entry| e.key == key);
-        self.count_load(&bytes, &e);
+    /// not match the requested key, is a miss. Counts the read traffic,
+    /// plus a corrupt frame when a file read fine but failed to decode or
+    /// fingerprint-check.
+    fn load<E: Entry>(&self, key: E::Key, tele: Option<&Telemetry>) -> Option<E> {
+        let bytes = std::fs::read(self.path::<E>(key)).ok()?;
+        let e = FRAMES.decode(&bytes, E::TAG).ok().filter(|e: &E| e.key() == key);
+        count(tele, "cache.disk.reads", 1);
+        count(tele, "cache.disk.read_bytes", bytes.len());
+        count(tele, "cache.disk.corrupt", usize::from(e.is_none()));
         e
     }
 
-    fn store_phase1(&mut self, entry: &Phase1Entry) {
-        let frame = FRAMES.encode(TAG_PHASE1, entry);
-        self.count_store(&frame);
-        self.pending.push((self.phase1_path(entry.key), frame));
-    }
-
-    fn load_phase2(&self, ir_fp: u64, db_fp: u64) -> Option<Phase2Entry> {
-        let bytes = std::fs::read(self.phase2_path(ir_fp, db_fp)).ok()?;
-        let e = FRAMES
-            .decode(&bytes, TAG_PHASE2)
-            .ok()
-            .filter(|e: &Phase2Entry| e.ir_fp == ir_fp && e.db_fp == db_fp);
-        self.count_load(&bytes, &e);
-        e
-    }
-
-    fn store_phase2(&mut self, entry: &Phase2Entry) {
-        let frame = FRAMES.encode(TAG_PHASE2, entry);
-        self.count_store(&frame);
-        self.pending.push((self.phase2_path(entry.ir_fp, entry.db_fp), frame));
-    }
-
-    /// Records one buffered disk-tier store (counted at encode time; the
-    /// actual write happens at `flush`).
-    fn count_store(&self, frame: &[u8]) {
-        if let Some(t) = &self.tele {
-            t.add("cache.disk.writes", 1);
-            t.add("cache.disk.write_bytes", frame.len() as u64);
-        }
+    /// Encodes one entry and buffers its write until the next flush.
+    fn store<E: Entry>(&self, entry: &E, tele: Option<&Telemetry>) {
+        let frame = FRAMES.encode(E::TAG, entry);
+        count(tele, "cache.disk.writes", 1);
+        count(tele, "cache.disk.write_bytes", frame.len());
+        let path = self.path::<E>(entry.key());
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner).push((path, frame));
     }
 
     /// Writes all buffered entries to disk. Best-effort per entry: a failed
     /// write leaves the disk tier cold for that key, not wrong.
-    fn flush(&mut self) {
-        let _s = ipra_telemetry::span(self.tele.as_ref(), "cache", "cache:flush");
-        for (path, bytes) in self.pending.drain(..) {
+    fn flush(&self, tele: Option<&Telemetry>) {
+        let _s = ipra_telemetry::span(tele, "cache", "cache:flush");
+        let pending =
+            std::mem::take(&mut *self.pending.lock().unwrap_or_else(PoisonError::into_inner));
+        for (path, bytes) in pending {
             let _ = std::fs::write(path, bytes);
         }
     }
@@ -234,32 +361,36 @@ impl DiskCache {
 
 impl Drop for DiskCache {
     fn drop(&mut self) {
-        self.flush();
+        self.flush(None);
     }
 }
 
-/// The incremental recompilation cache: the in-memory tier plus an
-/// optional on-disk tier behind it (see the module docs).
-#[derive(Debug, Default)]
+/// The incremental recompilation cache: the content-addressed in-memory
+/// tiers plus an optional on-disk tier behind them (see the module docs).
+/// Share it by reference: every method takes `&self`.
+#[derive(Debug)]
 pub struct CompilationCache {
-    phase1: HashMap<String, Arc<Phase1Entry>>,
-    phase2: HashMap<String, Phase2Entry>,
+    tiers: Mutex<Tiers>,
     disk: Option<DiskCache>,
-    tele: Option<Telemetry>,
-    /// In-memory size cap, in entries *per tier map* (`None` = unbounded).
-    capacity: Option<usize>,
-    /// Monotonic operation clock driving LRU order; bumped on every hit,
-    /// promotion and store, so recency is a pure function of the operation
-    /// sequence — eviction order is deterministic, never hash-map order.
-    tick: u64,
-    used1: HashMap<String, u64>,
-    used2: HashMap<String, u64>,
+}
+
+impl Default for CompilationCache {
+    fn default() -> CompilationCache {
+        CompilationCache::new()
+    }
 }
 
 impl CompilationCache {
-    /// An empty, memory-only cache.
+    /// An empty, memory-only, uncapped cache.
     pub fn new() -> CompilationCache {
-        CompilationCache::default()
+        CompilationCache {
+            tiers: Mutex::new(Tiers {
+                phase1: Lru::new(None),
+                phase2: Lru::new(None),
+                analyses: Lru::new(Some(ANALYSES)),
+            }),
+            disk: None,
+        }
     }
 
     /// An empty in-memory cache backed by the on-disk tier at `dir`
@@ -270,218 +401,156 @@ impl CompilationCache {
     ///
     /// Any I/O error creating the cache directory.
     pub fn with_disk(dir: impl Into<PathBuf>) -> std::io::Result<CompilationCache> {
-        Ok(CompilationCache { disk: Some(DiskCache::open(dir)?), ..CompilationCache::default() })
+        Ok(CompilationCache { disk: Some(DiskCache::open(dir)?), ..CompilationCache::new() })
     }
 
     /// The on-disk tier's directory, when one is attached.
     pub fn cache_dir(&self) -> Option<&Path> {
-        self.disk.as_ref().map(DiskCache::root)
+        self.disk.as_ref().map(|d| d.root.as_path())
     }
 
     /// Sets (or removes, with `None`) the in-memory size cap, clamped to at
-    /// least 1, and enforces it immediately (evictions made here count only
-    /// into the attached telemetry). The cap bounds each tier map
-    /// separately — a cache with capacity `n` keeps at most `n` phase-1
-    /// and `n` phase-2 entries.
+    /// least 1, and enforces it immediately. The cap bounds the phase-1 and
+    /// the phase-2 map separately — a cache with capacity `n` keeps at most
+    /// `n` entries of each; the analysis memo keeps a fixed small number.
     ///
-    /// Eviction is LRU with a deterministic order: recency is a monotonic
-    /// per-operation tick (not wall clock), and the victim is the entry
-    /// with the smallest `(tick, name)` pair. Evicting never loses work
-    /// permanently — entries were written through to the disk tier (when
-    /// attached) at store time, so a re-request degrades to a disk hit, or
-    /// to a recompute on a memory-only cache.
-    pub fn set_capacity(&mut self, cap: Option<usize>) {
-        self.capacity = cap.map(|c| c.max(1));
-        let e1 = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
-        let e2 = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
-        self.count_evictions("cache.p1.evictions", e1);
-        self.count_evictions("cache.p2.evictions", e2);
+    /// Eviction is least-recently-used with a deterministic order: recency
+    /// is a per-map operation tick, not wall clock. Evicting never loses
+    /// work permanently — entries were written through to the disk tier
+    /// (when attached) at store time, so a re-request degrades to a disk
+    /// hit, or to a recompute on a memory-only cache.
+    pub fn set_capacity(&self, cap: Option<usize>) {
+        let cap = cap.map(|c| c.max(1));
+        let mut tiers = self.tiers();
+        tiers.phase1.set_cap(cap);
+        tiers.phase2.set_cap(cap);
     }
 
-    /// Attaches (or detaches, with `None`) a telemetry collector. Cache
-    /// lookups, promotions, and disk-tier traffic are counted into it, and
-    /// the pipeline layers above ([`crate::separate`]) read it back via
-    /// [`telemetry`](CompilationCache::telemetry) so artifact staging shares
-    /// the build's collector without widening every signature.
-    pub fn set_telemetry(&mut self, tele: Option<Telemetry>) {
-        if let Some(d) = &mut self.disk {
-            d.tele = tele.clone();
+    /// Empties the in-memory tiers and the analysis memo. The disk tier is
+    /// left alone: its files are content-addressed and checksummed, and
+    /// other processes may share the directory.
+    pub fn clear(&self) {
+        self.tiers().clear();
+    }
+
+    /// The in-memory tiers, locked. A lock poisoned by a panic elsewhere
+    /// may guard half-updated maps, so it is recovered by clearing them:
+    /// the next probes miss and recompute.
+    fn tiers(&self) -> MutexGuard<'_, Tiers> {
+        self.tiers.lock().unwrap_or_else(|poisoned| {
+            let mut tiers = poisoned.into_inner();
+            tiers.clear();
+            self.tiers.clear_poison();
+            tiers
+        })
+    }
+
+    /// Probes a batch of keys: memory first, under one lock; then the disk
+    /// tier, outside it, for the keys memory missed, promoting what it
+    /// finds under a second lock. Counted into `stats` as hits (and disk
+    /// hits), misses and promotion evictions.
+    ///
+    /// Entries are shared, not copied: a hit is a refcount bump, so the hot
+    /// path of a warm (or disk-warm) build never deep-clones an entry.
+    pub(crate) fn probe<E: Entry>(
+        &self,
+        keys: &[E::Key],
+        tele: Option<&Telemetry>,
+        stats: &mut PhaseStats,
+    ) -> Vec<Option<Arc<E>>> {
+        let mut found: Vec<Option<Arc<E>>> = {
+            let mut tiers = self.tiers();
+            let map = E::map(&mut tiers);
+            keys.iter().map(|k| map.get(k)).collect()
+        };
+        let mem_hits = found.iter().flatten().count();
+        let (promoted, loaded): (Vec<usize>, Vec<E>) = match &self.disk {
+            Some(disk) => (0..keys.len())
+                .filter(|&i| found[i].is_none())
+                .filter_map(|i| disk.load::<E>(keys[i], tele).map(|e| (i, e)))
+                .unzip(),
+            None => (Vec::new(), Vec::new()),
+        };
+        let disk_hits = loaded.len();
+        let misses = keys.len() - mem_hits - disk_hits;
+        for (i, e) in promoted.into_iter().zip(self.insert(loaded, tele, stats)) {
+            found[i] = Some(e);
         }
-        self.tele = tele;
+        count_tier::<E>(tele, "mem_hits", mem_hits);
+        count_tier::<E>(tele, "disk_hits", disk_hits);
+        count_tier::<E>(tele, "promotes", disk_hits);
+        count_tier::<E>(tele, "misses", misses);
+        stats.hits += mem_hits + disk_hits;
+        stats.disk_hits += disk_hits;
+        stats.misses += misses;
+        found
     }
 
-    /// The attached telemetry collector, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.tele.as_ref()
-    }
-
-    fn count(&self, key: &str) {
-        if let Some(t) = &self.tele {
-            t.add(key, 1);
-        }
-    }
-
-    fn count_evictions(&self, key: &str, n: usize) {
-        if n > 0 {
-            if let Some(t) = &self.tele {
-                t.add(key, n as u64);
+    /// Stores a batch of freshly computed entries: written through to the
+    /// disk tier when one is attached (encoded outside the lock), then
+    /// [inserted](Self::insert) in memory. Returns the shared handles in
+    /// batch order so the caller keeps using the entries without cloning
+    /// them.
+    pub(crate) fn store<E: Entry>(
+        &self,
+        entries: Vec<E>,
+        tele: Option<&Telemetry>,
+        stats: &mut PhaseStats,
+    ) -> Vec<Arc<E>> {
+        if let Some(disk) = &self.disk {
+            for e in &entries {
+                disk.store(e, tele);
             }
         }
+        self.insert(entries, tele, stats)
     }
 
-    /// Removes least-recently-used entries from one tier map until it fits
-    /// the cap; returns how many were evicted. The victim each round is
-    /// the minimal `(last-use tick, name)` pair — ticks are unique per
-    /// operation, so the order is fully determined by the lookup/store
-    /// sequence, with the name as a belt-and-braces tie-break.
-    fn shrink<T>(
-        cap: Option<usize>,
-        map: &mut HashMap<String, T>,
-        used: &mut HashMap<String, u64>,
-    ) -> usize {
-        let Some(cap) = cap else { return 0 };
-        let mut evicted = 0;
-        while map.len() > cap {
-            let victim = map
-                .keys()
-                .map(|k| (used.get(k).copied().unwrap_or(0), k.clone()))
-                .min()
-                .map(|(_, k)| k)
-                .expect("tier map above its cap is non-empty");
-            map.remove(&victim);
-            used.remove(&victim);
-            evicted += 1;
-        }
-        evicted
+    /// Puts a batch of entries in memory under one lock, evicting past the
+    /// cap, and counts the evictions.
+    fn insert<E: Entry>(
+        &self,
+        entries: Vec<E>,
+        tele: Option<&Telemetry>,
+        stats: &mut PhaseStats,
+    ) -> Vec<Arc<E>> {
+        let entries: Vec<Arc<E>> = entries.into_iter().map(Arc::new).collect();
+        let evictions: usize = {
+            let mut tiers = self.tiers();
+            let map = E::map(&mut tiers);
+            entries.iter().map(|e| map.insert(e.key(), Arc::clone(e))).sum()
+        };
+        count_tier::<E>(tele, "evictions", evictions);
+        stats.evictions += evictions;
+        entries
     }
 
-    fn touch1(&mut self, name: &str) {
-        self.tick += 1;
-        self.used1.insert(name.to_string(), self.tick);
-    }
-
-    fn touch2(&mut self, name: &str) {
-        self.tick += 1;
-        self.used2.insert(name.to_string(), self.tick);
-    }
-
-    /// Phase-1 lookup: memory first, then the disk tier (promoting to
-    /// memory), counted into `stats` as a hit (and disk hit) or a miss.
-    ///
-    /// Entries are shared, not copied: a hit is a refcount bump, so the
-    /// hot path of a warm (or disk-warm) build never deep-clones an
-    /// `IrModule`.
-    pub(crate) fn lookup_phase1(
-        &mut self,
-        name: &str,
+    /// The memoized analysis under `key`, or `analyze`'s result — run with
+    /// the lock released, then stored — on a miss. Counted as
+    /// `cache.analysis.hits`/`.misses`.
+    pub(crate) fn analysis(
+        &self,
         key: u64,
-        stats: &mut PhaseStats,
-    ) -> Option<Arc<Phase1Entry>> {
-        if let Some(e) = self.phase1.get(name).filter(|e| e.key == key) {
-            let e = Arc::clone(e);
-            self.count("cache.p1.mem_hits");
-            self.touch1(name);
-            stats.hits += 1;
-            return Some(e);
+        tele: Option<&Telemetry>,
+        analyze: impl FnOnce() -> Analyzed,
+    ) -> Arc<Analyzed> {
+        let hit = self.tiers().analyses.get(&key);
+        if let Some(hit) = hit {
+            count(tele, "cache.analysis.hits", 1);
+            return hit;
         }
-        let Some(e) = self.disk.as_ref().and_then(|d| d.load_phase1(key)) else {
-            self.count("cache.p1.misses");
-            stats.misses += 1;
-            return None;
-        };
-        self.count("cache.p1.disk_hits");
-        self.count("cache.p1.promotes");
-        stats.hits += 1;
-        stats.disk_hits += 1;
-        Some(self.insert_phase1(name, e, stats))
-    }
-
-    /// Stores a freshly computed phase-1 entry in memory and, when
-    /// attached, writes it through to disk. Returns the shared handle so
-    /// the caller keeps using the entry without cloning it.
-    pub(crate) fn store_phase1(
-        &mut self,
-        name: &str,
-        entry: Phase1Entry,
-        stats: &mut PhaseStats,
-    ) -> Arc<Phase1Entry> {
-        if let Some(d) = &mut self.disk {
-            d.store_phase1(&entry);
-        }
-        self.insert_phase1(name, entry, stats)
-    }
-
-    /// Puts an entry in the memory tier, evicting past the cap.
-    fn insert_phase1(
-        &mut self,
-        name: &str,
-        entry: Phase1Entry,
-        stats: &mut PhaseStats,
-    ) -> Arc<Phase1Entry> {
-        let entry = Arc::new(entry);
-        self.phase1.insert(name.to_string(), Arc::clone(&entry));
-        self.touch1(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase1, &mut self.used1);
-        self.count_evictions("cache.p1.evictions", evicted);
-        stats.evictions += evicted;
-        entry
-    }
-
-    /// Phase-2 lookup: memory first, then the disk tier (promoting to
-    /// memory), counted into `stats` like
-    /// [`lookup_phase1`](Self::lookup_phase1).
-    pub(crate) fn lookup_phase2(
-        &mut self,
-        name: &str,
-        ir_fp: u64,
-        db_fp: u64,
-        stats: &mut PhaseStats,
-    ) -> Option<Phase2Entry> {
-        if let Some(e) = self.phase2.get(name).filter(|e| e.ir_fp == ir_fp && e.db_fp == db_fp) {
-            let e = e.clone();
-            self.count("cache.p2.mem_hits");
-            self.touch2(name);
-            stats.hits += 1;
-            return Some(e);
-        }
-        let Some(e) = self.disk.as_ref().and_then(|d| d.load_phase2(ir_fp, db_fp)) else {
-            self.count("cache.p2.misses");
-            stats.misses += 1;
-            return None;
-        };
-        self.count("cache.p2.disk_hits");
-        self.count("cache.p2.promotes");
-        stats.hits += 1;
-        stats.disk_hits += 1;
-        self.insert_phase2(name, e.clone(), stats);
-        Some(e)
-    }
-
-    /// Stores a freshly compiled object in memory and, when attached,
-    /// writes it through to disk.
-    pub(crate) fn store_phase2(&mut self, name: &str, entry: Phase2Entry, stats: &mut PhaseStats) {
-        if let Some(d) = &mut self.disk {
-            d.store_phase2(&entry);
-        }
-        self.insert_phase2(name, entry, stats);
-    }
-
-    /// Puts an entry in the memory tier, evicting past the cap.
-    fn insert_phase2(&mut self, name: &str, entry: Phase2Entry, stats: &mut PhaseStats) {
-        self.phase2.insert(name.to_string(), entry);
-        self.touch2(name);
-        let evicted = Self::shrink(self.capacity, &mut self.phase2, &mut self.used2);
-        self.count_evictions("cache.p2.evictions", evicted);
-        stats.evictions += evicted;
+        count(tele, "cache.analysis.misses", 1);
+        let analyzed = Arc::new(analyze());
+        self.tiers().analyses.insert(key, Arc::clone(&analyzed));
+        analyzed
     }
 
     /// Flushes the disk tier's buffered writes, if one is attached. Called
     /// by the driver at the end of each build; dropping the cache flushes
     /// too, so entries are never lost — flushing early just bounds how long
     /// they sit in memory.
-    pub fn flush(&mut self) {
-        if let Some(d) = &mut self.disk {
-            d.flush();
+    pub(crate) fn flush(&self, tele: Option<&Telemetry>) {
+        if let Some(d) = &self.disk {
+            d.flush(tele);
         }
     }
 }
@@ -494,6 +563,7 @@ mod tests {
         Phase1Entry {
             key,
             ir_fp: key ^ 0xABCD,
+            summary_fp: key ^ 0x1234,
             callees: Vec::new(),
             ir: IrModule { name: name.to_string(), globals: Vec::new(), functions: Vec::new() },
             summary: ModuleSummary {
@@ -517,101 +587,116 @@ mod tests {
 
     /// A memory-only cache holding at most `cap` entries per tier map.
     fn capped(cap: usize) -> CompilationCache {
-        let mut c = CompilationCache::new();
+        let c = CompilationCache::new();
         c.set_capacity(Some(cap));
         c
     }
 
+    fn store1(c: &CompilationCache, name: &str, key: u64, stats: &mut PhaseStats) {
+        c.store(vec![p1(name, key)], None, stats);
+    }
+
+    fn hit1(c: &CompilationCache, key: u64, stats: &mut PhaseStats) -> bool {
+        c.probe::<Phase1Entry>(&[key], None, stats)[0].is_some()
+    }
+
+    fn len1(c: &CompilationCache) -> usize {
+        c.tiers().phase1.len()
+    }
+
     #[test]
     fn uncapped_cache_never_evicts() {
-        let mut c = CompilationCache::new();
+        let c = CompilationCache::new();
         let mut stats = PhaseStats::default();
         for i in 0..100u64 {
-            let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i), &mut stats);
-            c.store_phase2(&name, p2(i, i), &mut stats);
+            store1(&c, &format!("m{i}"), i, &mut stats);
+            c.store(vec![p2(i, i)], None, &mut stats);
         }
-        assert_eq!(c.phase1.len(), 100);
+        assert_eq!(len1(&c), 100);
         assert_eq!(stats.evictions, 0);
     }
 
     #[test]
     fn lookups_count_hits_and_misses() {
-        let mut c = CompilationCache::new();
+        let c = CompilationCache::new();
         let mut stats = PhaseStats::default();
-        c.store_phase1("a", p1("a", 1), &mut stats);
-        assert!(c.lookup_phase1("a", 1, &mut stats).is_some());
-        assert!(c.lookup_phase1("a", 2, &mut stats).is_none(), "stale key");
-        assert!(c.lookup_phase1("b", 1, &mut stats).is_none(), "unknown module");
-        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (1, 0, 2));
+        store1(&c, "a", 1, &mut stats);
+        let found = c.probe::<Phase1Entry>(&[1, 2, 1], None, &mut stats);
+        assert_eq!(found.iter().map(Option::is_some).collect::<Vec<_>>(), [true, false, true]);
+        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (2, 0, 1));
+    }
+
+    #[test]
+    fn versions_of_one_module_coexist() {
+        let c = CompilationCache::new();
+        let mut stats = PhaseStats::default();
+        store1(&c, "a", 1, &mut stats);
+        store1(&c, "a", 2, &mut stats);
+        assert!(hit1(&c, 1, &mut stats), "the older version is still there");
+        assert!(hit1(&c, 2, &mut stats));
+        assert_eq!(len1(&c), 2);
     }
 
     #[test]
     fn cap_evicts_the_least_recently_used_entry() {
-        let mut c = capped(2);
+        let c = capped(2);
         let mut stats = PhaseStats::default();
-        c.store_phase1("a", p1("a", 1), &mut stats);
-        c.store_phase1("b", p1("b", 2), &mut stats);
+        store1(&c, "a", 1, &mut stats);
+        store1(&c, "b", 2, &mut stats);
         // Touch "a": "b" becomes the LRU victim despite being stored later.
-        assert!(c.lookup_phase1("a", 1, &mut stats).is_some());
-        c.store_phase1("c", p1("c", 3), &mut stats);
+        assert!(hit1(&c, 1, &mut stats));
+        store1(&c, "c", 3, &mut stats);
         assert_eq!(stats.evictions, 1);
-        assert!(c.lookup_phase1("b", 2, &mut stats).is_none(), "LRU entry evicted");
-        assert!(c.lookup_phase1("a", 1, &mut stats).is_some(), "recently used entry kept");
-        assert!(c.lookup_phase1("c", 3, &mut stats).is_some(), "new entry kept");
+        assert!(!hit1(&c, 2, &mut stats), "LRU entry evicted");
+        assert!(hit1(&c, 1, &mut stats), "recently used entry kept");
+        assert!(hit1(&c, 3, &mut stats), "new entry kept");
     }
 
     #[test]
     fn phase2_tier_is_capped_independently() {
-        let mut c = capped(2);
+        let c = capped(2);
         let mut stats = PhaseStats::default();
         for i in 0..5u64 {
-            let name = format!("m{i}");
-            c.store_phase2(&name, p2(i, i), &mut stats);
+            c.store(vec![p2(i, i)], None, &mut stats);
         }
-        assert_eq!(c.phase2.len(), 2);
+        assert_eq!(c.tiers().phase2.len(), 2);
         assert_eq!(stats.evictions, 3);
         // Oldest entries went first; the two most recent survive.
-        assert!(c.lookup_phase2("m3", 3, 3, &mut stats).is_some());
-        assert!(c.lookup_phase2("m4", 4, 4, &mut stats).is_some());
-        assert!(c.lookup_phase2("m0", 0, 0, &mut stats).is_none());
+        let found = c.probe::<Phase2Entry>(&[(3, 3), (4, 4), (0, 0)], None, &mut stats);
+        assert_eq!(found.iter().map(Option::is_some).collect::<Vec<_>>(), [true, true, false]);
     }
 
     #[test]
     fn set_capacity_shrinks_immediately_and_none_lifts_the_cap() {
-        let mut c = CompilationCache::new();
+        let c = CompilationCache::new();
         let mut stats = PhaseStats::default();
         for i in 0..8u64 {
-            let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i), &mut stats);
+            store1(&c, &format!("m{i}"), i, &mut stats);
         }
         c.set_capacity(Some(3));
-        assert_eq!(c.phase1.len(), 3);
+        assert_eq!(len1(&c), 3);
         c.set_capacity(None);
         for i in 8..20u64 {
-            let name = format!("m{i}");
-            c.store_phase1(&name, p1(&name, i), &mut stats);
+            store1(&c, &format!("m{i}"), i, &mut stats);
         }
-        assert_eq!(c.phase1.len(), 15);
+        assert_eq!(len1(&c), 15);
         assert_eq!(stats.evictions, 0, "no evictions once uncapped");
     }
 
     #[test]
     fn eviction_order_is_deterministic_across_identical_runs() {
         let run = || {
-            let mut c = capped(3);
+            let c = capped(3);
             let mut stats = PhaseStats::default();
             let mut survivors = Vec::new();
             for i in 0..12u64 {
-                let name = format!("m{i}");
-                c.store_phase1(&name, p1(&name, i), &mut stats);
+                store1(&c, &format!("m{i}"), i, &mut stats);
                 // Re-touch a rolling window so recency differs from
                 // insertion order.
                 for j in i.saturating_sub(1)..=i {
-                    let n = format!("m{j}");
-                    let _ = c.lookup_phase1(&n, j, &mut stats);
+                    hit1(&c, j, &mut stats);
                 }
-                let mut present: Vec<String> = c.phase1.keys().cloned().collect();
+                let mut present: Vec<u64> = c.tiers().phase1.entries.keys().copied().collect();
                 present.sort();
                 survivors.push(present);
             }
@@ -623,35 +708,71 @@ mod tests {
     #[test]
     fn evicted_entries_degrade_to_disk_hits_not_losses() {
         let dir = tmpdir("evict-disk");
-        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        let c = CompilationCache::with_disk(&dir).unwrap();
         c.set_capacity(Some(1));
         let mut stats = PhaseStats::default();
-        c.store_phase1("a", p1("a", 1), &mut stats);
-        c.store_phase1("b", p1("b", 2), &mut stats); // evicts "a" from memory
-        c.flush();
+        store1(&c, "a", 1, &mut stats);
+        store1(&c, "b", 2, &mut stats); // evicts "a" from memory
+        c.flush(None);
         assert_eq!(stats.evictions, 1);
-        let e = c.lookup_phase1("a", 1, &mut stats).expect("evicted entry still on disk");
+        let e = c.probe::<Phase1Entry>(&[1], None, &mut stats)[0].clone();
+        assert_eq!(e.expect("evicted entry still on disk").key, 1);
         assert_eq!(stats.disk_hits, 1, "served from the disk tier after eviction");
-        assert_eq!(e.key, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_or_foreign_frames_are_misses() {
         let dir = tmpdir("corrupt-frame");
-        let mut c = CompilationCache::with_disk(&dir).unwrap();
+        let c = CompilationCache::with_disk(&dir).unwrap();
         let mut stats = PhaseStats::default();
-        c.store_phase1("a", p1("a", 1), &mut stats);
-        c.store_phase2("a", p2(1, 1), &mut stats);
-        c.flush();
+        store1(&c, "a", 1, &mut stats);
+        c.store(vec![p2(1, 1)], None, &mut stats);
+        c.flush(None);
         let disk = c.disk.as_ref().unwrap();
-        let path = disk.phase1_path(1);
+        let path = disk.path::<Phase1Entry>(1);
         // A phase-2 frame under a phase-1 key is a miss (tags differ).
-        std::fs::copy(disk.phase2_path(1, 1), &path).unwrap();
-        assert!(disk.load_phase1(1).is_none());
+        std::fs::copy(disk.path::<Phase2Entry>((1, 1)), &path).unwrap();
+        assert!(disk.load::<Phase1Entry>(1, None).is_none());
         std::fs::write(&path, "{garbage").unwrap();
-        assert!(disk.load_phase1(1).is_none());
-        assert!(disk.load_phase2(1, 1).is_some());
+        assert!(disk.load::<Phase1Entry>(1, None).is_none());
+        assert!(disk.load::<Phase2Entry>((1, 1), None).is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clear_empties_every_memory_tier() {
+        let c = CompilationCache::new();
+        let mut stats = PhaseStats::default();
+        store1(&c, "a", 1, &mut stats);
+        c.store(vec![p2(1, 1)], None, &mut stats);
+        let analyzed = || Analyzed { database: ProgramDatabase::new(), stats: Default::default() };
+        c.analysis(7, None, analyzed);
+        c.clear();
+        assert!(!hit1(&c, 1, &mut stats));
+        assert!(c.probe::<Phase2Entry>(&[(1, 1)], None, &mut stats)[0].is_none());
+        let mut ran = false;
+        c.analysis(7, None, || {
+            ran = true;
+            analyzed()
+        });
+        assert!(ran, "the memo was cleared too");
+    }
+
+    #[test]
+    fn a_poisoned_lock_clears_the_cache_instead_of_panicking() {
+        let c = CompilationCache::new();
+        let mut stats = PhaseStats::default();
+        store1(&c, "a", 1, &mut stats);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = c.tiers.lock().unwrap();
+            panic!("a panic while the cache lock is held");
+        }));
+        assert!(poison.is_err());
+        assert!(c.tiers.is_poisoned());
+        assert!(!hit1(&c, 1, &mut stats), "the next lookup is a miss");
+        assert!(!c.tiers.is_poisoned(), "the lock is usable again");
+        store1(&c, "a", 1, &mut stats);
+        assert!(hit1(&c, 1, &mut stats));
     }
 }

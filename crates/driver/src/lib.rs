@@ -17,10 +17,17 @@
 //! and makes recompilation **incremental** through a [`CompilationCache`]:
 //!
 //! * phase 1 is keyed on a content fingerprint of the module's source;
+//! * the analyzer is memoized on the in-order summary fingerprints plus
+//!   the analyzer options, so an edit that leaves every summary alone
+//!   skips it;
 //! * phase 2 is keyed on the pair (module IR fingerprint, fingerprint of
 //!   the *module-relevant slice* of the [`ProgramDatabase`]), so an edit to
 //!   one module re-runs codegen only for modules whose directives actually
 //!   changed — the paper's recompilation story (§3) made real.
+//!
+//! Every key names content, not a module, so one cache serves any number
+//! of programs and builds at once (`cmind` shares one among all its
+//! clients); it is locked only around each batch probe or store.
 //!
 //! One cached pass per phase does that probing and compiling for every
 //! build path; each build's [`BuildReport`] is its record of hits, misses,
@@ -40,7 +47,7 @@
 //! input, convert the simulator's exact edge counts into [`ProfileData`],
 //! and recompile — the moral equivalent of the paper's `gprof` pass. The
 //! recompile shares the baseline's cache, so its first phase is pure cache
-//! hits.
+//! hits; no cache lock is held while the training run executes.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,6 +69,7 @@ mod stages;
 
 pub use cache::{BuildReport, CompilationCache, PhaseStats};
 
+use cache::Analyzed;
 use cmin_frontend::{analyze as check_module, parse_module, CompileError, Module, ModuleInfo};
 use cmin_ir::interp::{interpret_with, InterpOptions, InterpResult};
 use ipra_core::analyzer::{analyze, analyze_traced, AnalyzerOptions, AnalyzerStats, PaperConfig};
@@ -71,8 +79,9 @@ use ipra_obsv::DiffReport;
 use ipra_summary::ProgramSummary;
 use ipra_telemetry::{span, Telemetry};
 use ipra_verify::VerifyReport;
-use stages::{cached_phase1, cached_phase2};
+use stages::{analysis_key, cached_phase1, cached_phase2};
 use std::fmt;
+use std::sync::Arc;
 use vpr::program::{link, Executable, LinkError, ObjectModule};
 use vpr::sim::{run_with, RunResult, SimError, SimOptions};
 
@@ -244,14 +253,16 @@ pub fn compile(
     sources: &[SourceFile],
     options: &CompileOptions,
 ) -> Result<CompiledProgram, DriverError> {
-    compile_incremental(sources, options, &mut CompilationCache::new())
+    compile_incremental(sources, options, &CompilationCache::new())
 }
 
 /// Compiles a multi-module program, reusing `cache` across builds.
 ///
-/// Phase 1 re-runs only for modules whose source changed; phase 2 re-runs
-/// only for modules whose IR or whose slice of the program database
-/// changed. The result is bit-identical to a cold [`compile`] of the same
+/// Phase 1 re-runs only for modules whose source changed; the analyzer
+/// only when a summary or the analyzer options changed (and always under
+/// [`CompileOptions::trace`]); phase 2 only for modules whose IR or whose
+/// slice of the program database changed. Builds on other threads may
+/// share `cache` at the same time. The result is bit-identical to a cold [`compile`] of the same
 /// sources and options; [`CompiledProgram::build`] reports what was reused.
 /// When the cache has an on-disk tier ([`CompilationCache::with_disk`]),
 /// entries persisted by earlier *processes* count as hits too
@@ -265,40 +276,43 @@ pub fn compile(
 pub fn compile_incremental(
     sources: &[SourceFile],
     options: &CompileOptions,
-    cache: &mut CompilationCache,
+    cache: &CompilationCache,
 ) -> Result<CompiledProgram, DriverError> {
     let tele = options.telemetry.as_ref();
-    cache.set_telemetry(options.telemetry.clone());
     let build_timer = span(tele, "build", "build");
     let jobs = options.effective_jobs();
     let mut report = BuildReport::default();
 
     // ---- Compiler first phase, cache-probed then fanned out per module.
     let phase1_timer = span(tele, "build", "phase1");
-    let entries = cached_phase1(sources, options.optimize, jobs, cache, &mut report);
+    let entries = cached_phase1(sources, options.optimize, jobs, cache, tele, &mut report);
     // A failed build still counts what its phases did to the cache.
     count_phase(tele, "phase1", &report.phase1);
     let entries = entries?;
     report.phase1.seconds = phase1_timer.finish();
 
-    // ---- The program analyzer (whole-program; always runs).
+    // ---- The program analyzer (whole-program; memoized unless traced).
     let analyze_timer = span(tele, "build", "analyze");
     let summary = ProgramSummary { modules: entries.iter().map(|e| e.summary.clone()).collect() };
     let analyzer_opts = AnalyzerOptions { target: options.target, ..options.analyzer.clone() };
-    let (analysis, trace) = if options.trace {
+    let (database, stats, trace) = if options.trace {
         let (a, t) = analyze_traced(&summary, &analyzer_opts);
-        (a, Some(t))
+        (a.database, a.stats, Some(t))
     } else {
-        (analyze(&summary, &analyzer_opts), None)
+        let memo = cache.analysis(analysis_key(&entries, &analyzer_opts), tele, || {
+            let a = analyze(&summary, &analyzer_opts);
+            Analyzed { database: a.database, stats: a.stats }
+        });
+        (memo.database.clone(), memo.stats.clone(), None)
     };
     report.analyze_seconds = analyze_timer.finish();
 
     // ---- Compiler second phase: per module, keyed on (IR, database slice).
     let phase2_timer = span(tele, "build", "phase2");
     let objects: Vec<ObjectModule> =
-        cached_phase2(&entries, &analysis.database, options.target, jobs, cache, &mut report)
+        cached_phase2(&entries, &database, options.target, jobs, cache, tele, &mut report)
             .into_iter()
-            .map(|e| e.object)
+            .map(|e| Arc::try_unwrap(e).map_or_else(|e| e.object.clone(), |e| e.object))
             .collect();
     count_phase(tele, "phase2", &report.phase2);
     if let Some(t) = tele {
@@ -313,27 +327,19 @@ pub fn compile_incremental(
 
     // One burst of disk-tier writes per build (entries stay served from
     // memory either way; see `DiskCache`). Charged to the build total.
-    cache.flush();
+    cache.flush(tele);
     report.total_seconds = build_timer.finish();
 
     if let Some(t) = tele {
         t.add("build.builds", 1);
         t.add("build.modules", sources.len() as u64);
-        t.add("analyze.nodes", analysis.stats.nodes as u64);
-        t.add("analyze.webs", analysis.stats.webs_total as u64);
+        t.add("analyze.nodes", stats.nodes as u64);
+        t.add("analyze.webs", stats.webs_total as u64);
         t.add("link.objects", objects.len() as u64);
         t.add("link.insts", exe.code_len() as u64);
     }
 
-    Ok(CompiledProgram {
-        exe,
-        objects,
-        summary,
-        database: analysis.database,
-        stats: analysis.stats,
-        build: report,
-        trace,
-    })
+    Ok(CompiledProgram { exe, objects, summary, database, stats, build: report, trace })
 }
 
 /// Adds one phase's cache accounting to the build's counters
@@ -438,7 +444,7 @@ pub fn compile_configured(
     config: PaperConfig,
     training_input: &[i64],
     options: &CompileOptions,
-    cache: &mut CompilationCache,
+    cache: &CompilationCache,
 ) -> Result<Result<CompiledProgram, SimError>, DriverError> {
     let profile = if config.wants_profile() {
         let baseline_opts = CompileOptions {
@@ -475,13 +481,13 @@ pub fn diff_report(
     input: &[i64],
     jobs: usize,
 ) -> Result<Result<DiffReport, SimError>, DriverError> {
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     let base = CompileOptions { trace: true, jobs, ..CompileOptions::default() };
-    let prog_a = match compile_configured(sources, config_a, input, &base, &mut cache)? {
+    let prog_a = match compile_configured(sources, config_a, input, &base, &cache)? {
         Ok(p) => p,
         Err(e) => return Ok(Err(e)),
     };
-    let prog_b = match compile_configured(sources, config_b, input, &base, &mut cache)? {
+    let prog_b = match compile_configured(sources, config_b, input, &base, &cache)? {
         Ok(p) => p,
         Err(e) => return Ok(Err(e)),
     };
@@ -533,8 +539,8 @@ mod tests {
 
     /// A cold build under `config`, trained on an empty input for B/F.
     fn configured(sources: &[SourceFile], config: PaperConfig) -> CompiledProgram {
-        let mut cache = CompilationCache::new();
-        compile_configured(sources, config, &[], &CompileOptions::default(), &mut cache)
+        let cache = CompilationCache::new();
+        compile_configured(sources, config, &[], &CompileOptions::default(), &cache)
             .unwrap()
             .unwrap()
     }
@@ -699,11 +705,11 @@ mod tests {
     fn warm_rebuild_is_all_hits_and_bit_identical() {
         let sources = two_module_program();
         let opts = CompileOptions::paper(PaperConfig::C);
-        let mut cache = CompilationCache::new();
-        let cold = compile_incremental(&sources, &opts, &mut cache).unwrap();
+        let cache = CompilationCache::new();
+        let cold = compile_incremental(&sources, &opts, &cache).unwrap();
         assert_eq!(cold.build.phase1.misses, 2);
         assert_eq!(cold.build.phase2.misses, 2);
-        let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
+        let warm = compile_incremental(&sources, &opts, &cache).unwrap();
         assert_eq!(warm.build.phase1.hits, 2);
         assert_eq!(warm.build.phase2.hits, 2);
         assert_eq!(warm.build.phase1.disk_hits, 0);
@@ -716,16 +722,121 @@ mod tests {
     fn editing_one_module_reruns_only_its_first_phase() {
         let mut sources = two_module_program();
         let opts = CompileOptions::default();
-        let mut cache = CompilationCache::new();
-        compile_incremental(&sources, &opts, &mut cache).unwrap();
+        let cache = CompilationCache::new();
+        compile_incremental(&sources, &opts, &cache).unwrap();
         // A whitespace-only edit changes the source hash but not the IR:
         // phase 1 re-runs for that module, phase 2 for nothing at all.
         sources[0].text.push_str("\n\n");
-        let rebuilt = compile_incremental(&sources, &opts, &mut cache).unwrap();
+        let rebuilt = compile_incremental(&sources, &opts, &cache).unwrap();
         assert_eq!(rebuilt.build.phase1.misses, 1);
         assert_eq!(rebuilt.build.phase1.hits, 1);
         assert_eq!(rebuilt.build.phase2.hits, 2);
         assert!(rebuilt.build.recompiled.is_empty());
+    }
+
+    /// The analysis memo's hit and miss counters after one build.
+    fn memo_counts(tele: &Telemetry) -> (u64, u64) {
+        let c = tele.counters();
+        let get = |k: &str| c.get(k).copied().unwrap_or(0);
+        (get("cache.analysis.hits"), get("cache.analysis.misses"))
+    }
+
+    #[test]
+    fn a_summary_invisible_edit_hits_the_analysis_memo() {
+        let mut sources = two_module_program();
+        sources.push(src("knob", "int knob() { return 7; }"));
+        let cache = CompilationCache::new();
+        let build = |sources: &[SourceFile]| {
+            let tele = Telemetry::new();
+            let opts = CompileOptions {
+                telemetry: Some(tele.clone()),
+                ..CompileOptions::paper(PaperConfig::C)
+            };
+            (compile_incremental(sources, &opts, &cache).unwrap(), memo_counts(&tele))
+        };
+        let (cold, counts) = build(&sources);
+        assert_eq!(counts, (0, 1), "a cold build runs the analyzer");
+
+        // A new constant: new IR, same summary — the memo serves the analysis.
+        sources[2].text = sources[2].text.replace("return 7;", "return 8;");
+        let (edited, counts) = build(&sources);
+        assert_eq!(edited.summary, cold.summary, "the edit must leave the summary alone");
+        assert_eq!(counts, (1, 0), "a summary-invisible edit hits the memo");
+        let fresh = compile(&sources, &CompileOptions::paper(PaperConfig::C)).unwrap();
+        assert_eq!((&edited.exe, &edited.stats), (&fresh.exe, &fresh.stats));
+        assert_eq!(edited.database, fresh.database);
+
+        // A new global reference changes the summary: the analyzer re-runs.
+        sources[2].text = "int g; int knob() { return g; }".to_string();
+        let (visible, counts) = build(&sources);
+        assert_ne!(visible.summary, cold.summary);
+        assert_eq!(counts, (0, 1), "a summary-visible edit misses the memo");
+
+        // Tracing always runs the analyzer (the trace is its by-product).
+        let traced = CompileOptions { trace: true, ..CompileOptions::paper(PaperConfig::C) };
+        assert!(compile_incremental(&sources, &traced, &cache).unwrap().trace.is_some());
+    }
+
+    #[test]
+    fn every_analyzer_option_is_part_of_the_memo_key() {
+        use ipra_core::analyzer::PromotionMode;
+        let base = AnalyzerOptions::default();
+        // Exhaustive: a new field fails to compile here until it is added.
+        let AnalyzerOptions {
+            spill_motion,
+            promotion: _,
+            profile: _,
+            discard,
+            cluster,
+            precise_web_cluster_interaction,
+            caller_preallocation,
+            alias_precision,
+            target: _,
+        } = base.clone();
+        let mut profile = ProfileData::new();
+        profile.record_edge("main", "f", 1);
+        let variants = [
+            AnalyzerOptions { spill_motion: !spill_motion, ..base.clone() },
+            AnalyzerOptions { promotion: PromotionMode::Greedy, ..base.clone() },
+            AnalyzerOptions { promotion: PromotionMode::Coloring { registers: 5 }, ..base.clone() },
+            AnalyzerOptions { profile: Some(profile.clone()), ..base.clone() },
+            AnalyzerOptions { profile: Some(ProfileData::new()), ..base.clone() },
+            AnalyzerOptions {
+                discard: ipra_core::color::DiscardHeuristics {
+                    min_lref_ratio: discard.min_lref_ratio + 0.125,
+                    ..discard
+                },
+                ..base.clone()
+            },
+            AnalyzerOptions {
+                discard: ipra_core::color::DiscardHeuristics {
+                    min_singleton_refs: discard.min_singleton_refs + 1,
+                    ..discard
+                },
+                ..base.clone()
+            },
+            AnalyzerOptions {
+                cluster: ipra_core::cluster::ClusterHeuristics {
+                    root_gain: cluster.root_gain * 2.0,
+                },
+                ..base.clone()
+            },
+            AnalyzerOptions {
+                precise_web_cluster_interaction: !precise_web_cluster_interaction,
+                ..base.clone()
+            },
+            AnalyzerOptions { caller_preallocation: !caller_preallocation, ..base.clone() },
+            AnalyzerOptions { alias_precision: !alias_precision, ..base.clone() },
+            AnalyzerOptions { target: vpr::target::TargetId::Rv32, ..base.clone() },
+        ];
+        let mut keys: Vec<u64> = std::iter::once(&base)
+            .chain(&variants)
+            .map(|opts| stages::analysis_key(&[], opts))
+            .collect();
+        assert_eq!(keys[0], stages::analysis_key(&[], &base.clone()), "the key is stable");
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), variants.len() + 1, "every flipped field moves the key");
     }
 
     #[test]
@@ -734,15 +845,15 @@ mod tests {
         let dir = tmpdir("disk-cache");
         let opts = CompileOptions::paper(PaperConfig::C);
         let cold = {
-            let mut cache = CompilationCache::with_disk(&dir).unwrap();
+            let cache = CompilationCache::with_disk(&dir).unwrap();
             assert_eq!(cache.cache_dir(), Some(dir.as_path()));
-            compile_incremental(&sources, &opts, &mut cache).unwrap()
+            compile_incremental(&sources, &opts, &cache).unwrap()
         };
         assert_eq!(cold.build.phase1.misses, 2);
         // A *fresh* cache instance over the same directory — the in-process
         // stand-in for a separate cminc invocation — must be all disk hits.
-        let mut cache = CompilationCache::with_disk(&dir).unwrap();
-        let warm = compile_incremental(&sources, &opts, &mut cache).unwrap();
+        let cache = CompilationCache::with_disk(&dir).unwrap();
+        let warm = compile_incremental(&sources, &opts, &cache).unwrap();
         assert_eq!(warm.build.phase1.hits, 2);
         assert_eq!(warm.build.phase1.disk_hits, 2);
         assert_eq!(warm.build.phase2.hits, 2);
@@ -758,8 +869,8 @@ mod tests {
         let sources = two_module_program();
         let dir = tmpdir("disk-corrupt");
         {
-            let mut cache = CompilationCache::with_disk(&dir).unwrap();
-            compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap();
+            let cache = CompilationCache::with_disk(&dir).unwrap();
+            compile_incremental(&sources, &CompileOptions::default(), &cache).unwrap();
         }
         // Truncate every persisted entry; the rebuild must recompute, not
         // fail or produce wrong code.
@@ -768,9 +879,8 @@ mod tests {
                 std::fs::write(f.unwrap().path(), "{garbage").unwrap();
             }
         }
-        let mut cache = CompilationCache::with_disk(&dir).unwrap();
-        let rebuilt =
-            compile_incremental(&sources, &CompileOptions::default(), &mut cache).unwrap();
+        let cache = CompilationCache::with_disk(&dir).unwrap();
+        let rebuilt = compile_incremental(&sources, &CompileOptions::default(), &cache).unwrap();
         assert_eq!(rebuilt.build.phase1.misses, 2);
         assert_eq!(rebuilt.build.phase2.misses, 2);
         let r = run_program(&rebuilt, &[]).unwrap();
@@ -782,13 +892,13 @@ mod tests {
     fn separate_build_matches_in_memory_compile() {
         let sources = two_module_program();
         let dir = tmpdir("separate");
-        let mut cache = CompilationCache::new();
+        let cache = CompilationCache::new();
         let staged = separate::artifact_build_for(
             &sources,
             PaperConfig::C,
             None,
             &dir,
-            &mut cache,
+            &cache,
             vpr::target::TargetId::Vpr,
         )
         .unwrap();

@@ -27,7 +27,6 @@ use ipra_artifact::{
 use ipra_core::analyzer::{analyze, AnalyzerOptions, PaperConfig};
 use ipra_core::{ProfileData, ProgramDatabase};
 use ipra_summary::ProgramSummary;
-use ipra_telemetry::{span, Telemetry};
 use std::path::{Path, PathBuf};
 use vpr::program::Executable;
 use vpr::sim::SimError;
@@ -64,24 +63,28 @@ pub fn build_module_for(
     src: &SourceFile,
     database: &ProgramDatabase,
     optimize: bool,
-    cache: &mut CompilationCache,
+    cache: &CompilationCache,
     target: TargetId,
 ) -> Result<ModuleProduct, CompileError> {
     let mut report = BuildReport::default();
     let entry =
-        cached_phase1(std::slice::from_ref(src), optimize, 1, cache, &mut report)?.remove(0);
+        cached_phase1(std::slice::from_ref(src), optimize, 1, cache, None, &mut report)?.remove(0);
     let object =
-        cached_phase2(std::slice::from_ref(&entry), database, target, 1, cache, &mut report)
+        cached_phase2(std::slice::from_ref(&entry), database, target, 1, cache, None, &mut report)
             .remove(0);
     // One burst of disk-tier writes per module build.
-    cache.flush();
+    cache.flush(None);
     Ok(ModuleProduct {
         summary: SummaryArtifact {
             summary: entry.summary.clone(),
             source_fp: entry.key,
             ir_fp: entry.ir_fp,
         },
-        object: ObjectArtifact { object: object.object, ir_fp: entry.ir_fp, dir_fp: object.db_fp },
+        object: ObjectArtifact {
+            object: object.object.clone(),
+            ir_fp: entry.ir_fp,
+            dir_fp: object.db_fp,
+        },
         phase1_hit: report.phase1.hits == 1,
         phase2_hit: report.phase2.hits == 1,
     })
@@ -114,28 +117,6 @@ fn io_err(path: &Path, e: std::io::Error) -> DriverError {
     })
 }
 
-/// Counts one artifact write into the build's telemetry (file count plus
-/// on-disk bytes; artifact encodings are byte-deterministic, so so are
-/// these counters).
-fn count_artifact_write(tele: Option<&Telemetry>, path: &Path) {
-    if let Some(t) = tele {
-        t.add("artifact.writes", 1);
-        if let Ok(m) = std::fs::metadata(path) {
-            t.add("artifact.write_bytes", m.len());
-        }
-    }
-}
-
-/// Counts one artifact read-back into the build's telemetry.
-fn count_artifact_read(tele: Option<&Telemetry>, path: &Path) {
-    if let Some(t) = tele {
-        t.add("artifact.reads", 1);
-        if let Ok(m) = std::fs::metadata(path) {
-            t.add("artifact.read_bytes", m.len());
-        }
-    }
-}
-
 /// Runs the four-stage separate-compilation pipeline for `target` into
 /// `dir`, staging every intermediate product through its on-disk artifact
 /// format (each stage re-reads its inputs from the files the previous
@@ -152,18 +133,14 @@ pub fn artifact_build_for(
     config: PaperConfig,
     profile: Option<ProfileData>,
     dir: &Path,
-    cache: &mut CompilationCache,
+    cache: &CompilationCache,
     target: TargetId,
 ) -> Result<ArtifactBuild, DriverError> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let tele = cache.telemetry().cloned();
-    let tele = tele.as_ref();
-    let _staged = span(tele, "build", "artifact-build");
 
     // ---- Stage 1: phase 1, then summaries to disk, one `.csum` per module.
-    let stage1 = span(tele, "artifact", "stage1:summaries");
     let mut report = BuildReport::default();
-    let entries = cached_phase1(sources, true, 1, cache, &mut report)?;
+    let entries = cached_phase1(sources, true, 1, cache, None, &mut report)?;
     let mut summary_paths = Vec::with_capacity(sources.len());
     for (src, entry) in sources.iter().zip(&entries) {
         let path = dir.join(format!("{}.csum", src.name));
@@ -173,17 +150,13 @@ pub fn artifact_build_for(
             ir_fp: entry.ir_fp,
         };
         ipra_artifact::write_file(ArtifactKind::Summary, &path, &payload)?;
-        count_artifact_write(tele, &path);
         summary_paths.push(path);
     }
-    stage1.finish();
 
     // ---- Stage 2: the analyzer, over summaries re-read from disk.
-    let stage2 = span(tele, "artifact", "stage2:analyze");
     let mut modules = Vec::with_capacity(summary_paths.len());
     for path in &summary_paths {
         let a: SummaryArtifact = ipra_artifact::read_file(ArtifactKind::Summary, path)?;
-        count_artifact_read(tele, path);
         modules.push(a.summary);
     }
     let summary = ProgramSummary { modules };
@@ -194,35 +167,31 @@ pub fn artifact_build_for(
     // their headers carry the build's target stamp (`.csum` summaries are
     // phase-1 products — target-independent and left unstamped).
     ipra_artifact::write_file_for(ArtifactKind::Directives, &directives_path, &payload, target)?;
-    count_artifact_write(tele, &directives_path);
-    stage2.finish();
 
     // ---- Stage 3: phase 2 of stage 1's entries, under directives re-read
     // from disk.
-    let stage3 = span(tele, "artifact", "stage3:objects");
     let directives: DirectivesArtifact =
         ipra_artifact::read_file(ArtifactKind::Directives, &directives_path)?;
-    count_artifact_read(tele, &directives_path);
-    let objects = cached_phase2(&entries, &directives.database, target, 1, cache, &mut report);
-    cache.flush();
+    let objects =
+        cached_phase2(&entries, &directives.database, target, 1, cache, None, &mut report);
+    cache.flush(None);
     let mut object_paths = Vec::with_capacity(sources.len());
     for (src, (entry, object)) in sources.iter().zip(entries.iter().zip(objects)) {
         let path = dir.join(format!("{}.vo", src.name));
-        let payload =
-            ObjectArtifact { object: object.object, ir_fp: entry.ir_fp, dir_fp: object.db_fp };
+        let payload = ObjectArtifact {
+            object: object.object.clone(),
+            ir_fp: entry.ir_fp,
+            dir_fp: object.db_fp,
+        };
         ipra_artifact::write_file_for(ArtifactKind::Object, &path, &payload, target)?;
-        count_artifact_write(tele, &path);
         object_paths.push(path);
     }
-    stage3.finish();
 
     // ---- Stage 4: link objects re-read from disk; write and re-read the
     // executable so what we return is literally what is on disk.
-    let stage4 = span(tele, "artifact", "stage4:link");
     let mut objects = Vec::with_capacity(object_paths.len());
     for path in &object_paths {
         let a: ObjectArtifact = ipra_artifact::read_file(ArtifactKind::Object, path)?;
-        count_artifact_read(tele, path);
         objects.push(a.object);
     }
     let exe = vpr::link(&objects)?;
@@ -233,12 +202,9 @@ pub fn artifact_build_for(
         &ExecutableArtifact { exe },
         target,
     )?;
-    count_artifact_write(tele, &executable_path);
     let exe =
         ipra_artifact::read_file::<ExecutableArtifact>(ArtifactKind::Executable, &executable_path)?
             .exe;
-    count_artifact_read(tele, &executable_path);
-    stage4.finish();
 
     Ok(ArtifactBuild {
         exe,
@@ -268,14 +234,14 @@ pub fn artifact_build_configured_for(
     config: PaperConfig,
     training_input: &[i64],
     dir: &Path,
-    cache: &mut CompilationCache,
+    cache: &CompilationCache,
     target: TargetId,
 ) -> Result<Result<ArtifactBuild, SimError>, DriverError> {
     let profile = if config.wants_profile() {
         let training_dir = dir.join("training");
         let baseline =
             artifact_build_for(sources, PaperConfig::L2, None, &training_dir, cache, target)?;
-        match crate::train(&baseline.exe, training_input, cache.telemetry()) {
+        match crate::train(&baseline.exe, training_input, None) {
             Ok(profile) => Some(profile),
             Err(e) => return Ok(Err(e)),
         }

@@ -315,10 +315,10 @@ pub fn check(sources: &[SourceFile], opts: &CheckOptions) -> Result<(), Failure>
     // plus alias-precision P): phase-1 entries must be reusable between
     // configs, and phase-2 entries must be correctly invalidated as the
     // database changes per config.
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     let copts = CompileOptions::default();
     for config in PaperConfig::ALL_WITH_ALIAS {
-        let program = match compile_configured(sources, config, &[], &copts, &mut cache) {
+        let program = match compile_configured(sources, config, &[], &copts, &cache) {
             Err(e) => return Err(Failure::Compile { config, detail: e.to_string() }),
             Ok(Err(e)) => return Err(Failure::TrainingTrap { config, detail: e.to_string() }),
             Ok(Ok(p)) => p,
@@ -360,7 +360,7 @@ pub fn check(sources: &[SourceFile], opts: &CheckOptions) -> Result<(), Failure>
             return Err(Failure::AttributionMismatch { config });
         }
         if opts.cross_target {
-            check_cross_target(sources, config, &copts, &mut cache, &r)?;
+            check_cross_target(sources, config, &copts, &cache, &r)?;
         }
     }
 
@@ -391,7 +391,7 @@ fn check_cross_target(
     sources: &[SourceFile],
     config: PaperConfig,
     copts: &CompileOptions,
-    cache: &mut CompilationCache,
+    cache: &CompilationCache,
     vpr_result: &vpr::RunResult,
 ) -> Result<(), Failure> {
     let fail = |detail: String| Failure::CrossTargetDivergence { config, detail };
@@ -469,9 +469,8 @@ fn check_incremental(sources: &[SourceFile]) -> Result<(), Failure> {
     let compile_err =
         |e: ipra_driver::DriverError| Failure::Compile { config, detail: e.to_string() };
 
-    let mut cache = CompilationCache::new();
-    let cold0 =
-        ipra_driver::compile_incremental(sources, &opts, &mut cache).map_err(compile_err)?;
+    let cache = CompilationCache::new();
+    let cold0 = ipra_driver::compile_incremental(sources, &opts, &cache).map_err(compile_err)?;
 
     // Append an (unused, uncalled) procedure to module 0: its summary
     // changes, so the analyzer reruns and any module whose database slice
@@ -479,7 +478,7 @@ fn check_incremental(sources: &[SourceFile]) -> Result<(), Failure> {
     let mut edited = sources.to_vec();
     edited[0].text.push_str("\nint zz_edit_probe(int p0) { return p0 + 1; }\n");
     let warm_edited =
-        ipra_driver::compile_incremental(&edited, &opts, &mut cache).map_err(compile_err)?;
+        ipra_driver::compile_incremental(&edited, &opts, &cache).map_err(compile_err)?;
     let cold_edited = compile(&edited, &opts).map_err(compile_err)?;
     if exe_bytes(&warm_edited) != exe_bytes(&cold_edited) {
         return Err(fail("after edit, warm != cold"));
@@ -488,7 +487,7 @@ fn check_incremental(sources: &[SourceFile]) -> Result<(), Failure> {
     // Revert: the incremental rebuild must land exactly back on the
     // original cold build.
     let warm_reverted =
-        ipra_driver::compile_incremental(sources, &opts, &mut cache).map_err(compile_err)?;
+        ipra_driver::compile_incremental(sources, &opts, &cache).map_err(compile_err)?;
     if exe_bytes(&warm_reverted) != exe_bytes(&cold0) {
         return Err(fail("after revert, warm != original cold"));
     }
@@ -535,13 +534,13 @@ fn check_separate(sources: &[SourceFile]) -> Result<(), Failure> {
     let dir = std::env::temp_dir().join(format!("ipra-separate-{fp:016x}"));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     let staged = match ipra_driver::separate::artifact_build_configured_for(
         sources,
         config,
         &[],
         &dir,
-        &mut cache,
+        &cache,
         vpr::target::TargetId::Vpr,
     ) {
         Err(e) => {
@@ -675,9 +674,9 @@ pub fn dump_divergence(sources: &[SourceFile], config: PaperConfig, label: &str)
     let _ = std::fs::create_dir_all(&dir);
     let _ = std::fs::write(dir.join("sources.cmin"), crate::corpus::join_sources(sources));
     let opts = CompileOptions { trace: true, ..CompileOptions::default() };
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     for cfg in [config, PaperConfig::L2] {
-        let Ok(Ok(program)) = compile_configured(sources, cfg, &[], &opts, &mut cache) else {
+        let Ok(Ok(program)) = compile_configured(sources, cfg, &[], &opts, &cache) else {
             continue;
         };
         if cfg == config {

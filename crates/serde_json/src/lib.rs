@@ -7,6 +7,7 @@
 pub use serde::Value;
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// JSON serialization/deserialization error.
 #[derive(Debug, Clone)]
@@ -54,17 +55,25 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 
 // ------------------------------------------------------------------ writing
 
+// Numbers are formatted straight into `out` and unescaped strings copied
+// whole: the driver fingerprints every module's IR as JSON text, so this
+// writer is on every cold build's path. (`write!` into a `String` cannot
+// fail.)
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::UInt(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::Float(x) => {
             if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                out.push_str(&format!("{x:.1}"));
+                let _ = write!(out, "{x:.1}");
             } else {
-                out.push_str(&x.to_string());
+                let _ = write!(out, "{x}");
             }
         }
         Value::Str(s) => write_string(out, s),
@@ -117,6 +126,11 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -347,6 +361,12 @@ mod tests {
         assert!(!from_str::<bool>("false").unwrap());
         assert_eq!(to_string("a\"b\\c\n").unwrap(), r#""a\"b\\c\n""#);
         assert_eq!(from_str::<String>(r#""a\"b\\c\n""#).unwrap(), "a\"b\\c\n");
+        // Both string paths (copied whole / escaped) and every number form.
+        assert_eq!(to_string("plain é").unwrap(), "\"plain é\"");
+        assert_eq!(to_string("\u{1}\t").unwrap(), r#""\u0001\t""#);
+        assert_eq!(to_string(&-7i64).unwrap(), "-7");
+        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
+        assert_eq!(to_string(&0.25f64).unwrap(), "0.25");
     }
 
     #[test]

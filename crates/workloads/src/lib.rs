@@ -270,7 +270,7 @@ mod tests {
                     config,
                     &w.training_input,
                     &CompileOptions::default(),
-                    &mut ipra_driver::CompilationCache::new(),
+                    &ipra_driver::CompilationCache::new(),
                 )
                 .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
                 .unwrap_or_else(|e| panic!("{}/{config}: trap {e}", w.name));

@@ -22,14 +22,14 @@ fn workloads_verify_clean_and_agree_on_both_targets() {
     // One cache across every leg: per-target fingerprints must keep the
     // legs from contaminating each other (the oracle tests this on random
     // programs; here it runs on the real workload suite).
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     for w in ipra_workloads::all() {
         for config in PaperConfig::ALL_WITH_ALIAS {
             let mut legs = Vec::new();
             for target in TargetId::ALL {
                 let opts = CompileOptions { target, ..CompileOptions::paper(config) };
                 let program =
-                    compile_configured(&w.sources, config, &w.training_input, &opts, &mut cache)
+                    compile_configured(&w.sources, config, &w.training_input, &opts, &cache)
                         .unwrap_or_else(|e| panic!("{}/{config}/{target}: {e}", w.name))
                         .unwrap_or_else(|e| {
                             panic!("{}/{config}/{target}: training trap {e}", w.name)

@@ -59,10 +59,10 @@ fn current_fingerprints() -> String {
     let mut out = String::new();
     for w in ipra_workloads::all() {
         for config in PaperConfig::ALL_WITH_ALIAS {
-            let mut cache = CompilationCache::new();
+            let cache = CompilationCache::new();
             let options = CompileOptions::default();
             let program =
-                compile_configured(&w.sources, config, &w.training_input, &options, &mut cache)
+                compile_configured(&w.sources, config, &w.training_input, &options, &cache)
                     .unwrap_or_else(|e| panic!("{}/{config}: {e}", w.name))
                     .unwrap_or_else(|e| panic!("{}/{config}: training trap {e}", w.name));
             line(&mut out, w.name, config, &program.database, &program.stats);

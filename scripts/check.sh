@@ -282,7 +282,7 @@ echo "==> daemon smoke (serve, concurrent remote builds == local build, drain, f
 dm="$report_dir/daemon"
 mkdir -p "$dm"
 dsock="$dm/cmind.sock"
-"$cminc" serve --socket "$dsock" --shards 2 --cap 64 2> "$dm/serve.log" &
+"$cminc" serve --socket "$dsock" --cap 64 2> "$dm/serve.log" &
 serve_pid=$!
 for _ in $(seq 1 100); do
   [ -S "$dsock" ] && break

@@ -52,14 +52,14 @@ where
 #[test]
 fn every_format_round_trips_across_workloads_and_configs() {
     for w in ipra_workloads::all() {
-        let mut cache = CompilationCache::new();
+        let cache = CompilationCache::new();
         for config in PaperConfig::ALL {
             let program = compile_configured(
                 &w.sources,
                 config,
                 &w.training_input,
                 &CompileOptions::default(),
-                &mut cache,
+                &cache,
             )
             .unwrap_or_else(|e| panic!("{} [{config}]: {e}", w.name))
             .unwrap_or_else(|e| panic!("{} [{config}]: training trap {e}", w.name));
@@ -115,8 +115,8 @@ fn every_format_round_trips_across_workloads_and_configs() {
 fn artifact_pipeline_matches_in_memory_compile_everywhere() {
     let root = tmpdir("pipeline");
     for w in ipra_workloads::all() {
-        let mut mem_cache = CompilationCache::new();
-        let mut disk_cache = CompilationCache::new();
+        let mem_cache = CompilationCache::new();
+        let disk_cache = CompilationCache::new();
         for config in PaperConfig::ALL {
             let what = format!("{} [{config}]", w.name);
             let in_memory = compile_configured(
@@ -124,7 +124,7 @@ fn artifact_pipeline_matches_in_memory_compile_everywhere() {
                 config,
                 &w.training_input,
                 &CompileOptions::default(),
-                &mut mem_cache,
+                &mem_cache,
             )
             .unwrap_or_else(|e| panic!("{what}: {e}"))
             .unwrap_or_else(|e| panic!("{what}: training trap {e}"));
@@ -135,7 +135,7 @@ fn artifact_pipeline_matches_in_memory_compile_everywhere() {
                 config,
                 &w.training_input,
                 &dir,
-                &mut disk_cache,
+                &disk_cache,
                 vpr::TargetId::Vpr,
             )
             .unwrap_or_else(|e| panic!("{what}: artifact build: {e}"))

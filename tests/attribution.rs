@@ -18,7 +18,7 @@ use vpr::STARTUP_PROC;
 #[test]
 fn attribution_is_exact_and_observation_only_across_workloads_and_configs() {
     for w in ipra_workloads::all() {
-        let mut cache = CompilationCache::new();
+        let cache = CompilationCache::new();
         for config in PaperConfig::ALL {
             let label = format!("{}/{config}", w.name);
             let program = compile_configured(
@@ -26,7 +26,7 @@ fn attribution_is_exact_and_observation_only_across_workloads_and_configs() {
                 config,
                 &w.training_input,
                 &CompileOptions::default(),
-                &mut cache,
+                &cache,
             )
             .unwrap_or_else(|e| panic!("{label}: compile error {e}"))
             .unwrap_or_else(|e| panic!("{label}: training trap {e}"));

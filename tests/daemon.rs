@@ -137,7 +137,7 @@ fn stress_many_clients_with_interleaved_edits() {
 }
 
 /// Distinct programs from different clients share one daemon and its
-/// sharded cache without cross-talk: interleaved builds of per-client
+/// one cache without cross-talk: interleaved builds of per-client
 /// variants all come back byte-correct, and re-requesting a variant
 /// after *other* clients' builds still matches (nothing was evicted into
 /// wrongness, only into recompilation).
@@ -160,7 +160,7 @@ fn stress_distinct_programs_share_the_cache_without_crosstalk() {
                 let mut client = Client::connect(&socket).expect("connect");
                 // Each client owns one variant (its own tune) of a smaller
                 // program, rebuilt repeatedly while the others churn the
-                // shared shards.
+                // shared cache.
                 let mut sources = scaled_program(12);
                 perturb(&mut sources, client_id % 12, 1000 + client_id as i64);
                 let request = request_for(&sources);

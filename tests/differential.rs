@@ -28,10 +28,9 @@ fn check_seed(sources: &[ipra_driver::SourceFile], label: &str) {
         .unwrap_or_else(|e| panic!("{label}: interpreter trap {e}"));
     for config in PaperConfig::ALL {
         let options = CompileOptions::default();
-        let program =
-            compile_configured(sources, config, &[], &options, &mut CompilationCache::new())
-                .unwrap_or_else(|e| panic!("{label}/{config}: compile error {e}"))
-                .unwrap_or_else(|e| panic!("{label}/{config}: training trap {e}"));
+        let program = compile_configured(sources, config, &[], &options, &CompilationCache::new())
+            .unwrap_or_else(|e| panic!("{label}/{config}: compile error {e}"))
+            .unwrap_or_else(|e| panic!("{label}/{config}: training trap {e}"));
         let report = ipra_driver::verify_program(&program);
         assert!(report.is_clean(), "{label}/{config} failed verification:\n{report}");
         let r = run_program(&program, &[])

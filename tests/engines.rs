@@ -26,7 +26,7 @@ fn both(exe: &vpr::Executable, opts: &SimOptions, label: &str) -> Result<RunResu
 #[test]
 fn engines_agree_across_workloads_configs_and_attribution() {
     for w in ipra_workloads::all() {
-        let mut cache = CompilationCache::new();
+        let cache = CompilationCache::new();
         for config in PaperConfig::ALL_WITH_ALIAS {
             let label = format!("{}/{config}", w.name);
             let program = compile_configured(
@@ -34,7 +34,7 @@ fn engines_agree_across_workloads_configs_and_attribution() {
                 config,
                 &w.training_input,
                 &CompileOptions::default(),
-                &mut cache,
+                &cache,
             )
             .unwrap_or_else(|e| panic!("{label}: compile error {e}"))
             .unwrap_or_else(|e| panic!("{label}: training trap {e}"));
@@ -58,13 +58,13 @@ fn engines_agree_on_every_step_limit_of_a_real_workload() {
     // engines, for both attribution modes: sweep limits across the whole
     // run plus the exact boundary.
     let w = ipra_workloads::by_name("dhrystone").expect("dhrystone workload");
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     let program = compile_configured(
         &w.sources,
         PaperConfig::C,
         &w.training_input,
         &CompileOptions::default(),
-        &mut cache,
+        &cache,
     )
     .expect("compile")
     .expect("training run");
@@ -87,8 +87,8 @@ fn engines_agree_on_every_step_limit_of_a_real_workload() {
 /// the static configurations).
 fn compile_one(src: &str) -> ipra_driver::CompiledProgram {
     let sources = vec![SourceFile::new("t", src)];
-    let mut cache = CompilationCache::new();
-    compile_configured(&sources, PaperConfig::C, &[], &CompileOptions::default(), &mut cache)
+    let cache = CompilationCache::new();
+    compile_configured(&sources, PaperConfig::C, &[], &CompileOptions::default(), &cache)
         .expect("compile")
         .expect("training run")
 }
@@ -126,9 +126,9 @@ fn engines_agree_on_the_sparse_call_edge_path() {
     // matrix would exceed 2²⁰ cells, so it counts call edges in a hash map
     // instead; 342 scaled modules link 1027 functions.
     let sources = ipra_workloads::scaled::scaled_program(342);
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     let program =
-        compile_configured(&sources, PaperConfig::C, &[], &CompileOptions::default(), &mut cache)
+        compile_configured(&sources, PaperConfig::C, &[], &CompileOptions::default(), &cache)
             .expect("compile")
             .expect("training run");
     assert!(program.exe.funcs().len() >= 1024, "{} functions", program.exe.funcs().len());

@@ -21,13 +21,13 @@ use ipra_workloads::scaled::{perturb, scaled_program};
 fn one_edit_of_twenty_recompiles_only_the_changed_slice() {
     let mut sources = scaled_program(20);
     let opts = CompileOptions::paper(PaperConfig::C);
-    let mut cache = CompilationCache::new();
-    let cold = compile_incremental(&sources, &opts, &mut cache).unwrap();
+    let cache = CompilationCache::new();
+    let cold = compile_incremental(&sources, &opts, &cache).unwrap();
     assert_eq!(cold.build.phase1.misses, 20);
     assert_eq!(cold.build.recompiled.len(), 20);
 
     perturb(&mut sources, 10, 7);
-    let edited = compile_incremental(&sources, &opts, &mut cache).unwrap();
+    let edited = compile_incremental(&sources, &opts, &cache).unwrap();
     assert_eq!(edited.build.phase1.hits, 19, "only s10's source changed");
     assert_eq!(edited.build.phase1.misses, 1);
     assert_eq!(
@@ -37,7 +37,7 @@ fn one_edit_of_twenty_recompiles_only_the_changed_slice() {
     );
     assert_eq!(edited.build.phase2.hits, 19);
 
-    let fresh = compile_incremental(&sources, &opts, &mut CompilationCache::new()).unwrap();
+    let fresh = compile_incremental(&sources, &opts, &CompilationCache::new()).unwrap();
     assert_eq!(edited.exe, fresh.exe, "incremental build must match a fresh build bit-for-bit");
     assert_ne!(edited.exe, cold.exe, "the edit is observable in the machine code");
 }
@@ -49,9 +49,9 @@ fn one_edit_of_twenty_recompiles_only_the_changed_slice() {
 fn warm_rebuild_is_bit_identical_across_all_configs() {
     let sources = scaled_program(8);
     for config in PaperConfig::ALL {
-        let mut cache = CompilationCache::new();
-        let mut build = || {
-            compile_configured(&sources, config, &[], &CompileOptions::default(), &mut cache)
+        let cache = CompilationCache::new();
+        let build = || {
+            compile_configured(&sources, config, &[], &CompileOptions::default(), &cache)
                 .unwrap_or_else(|e| panic!("{config}: {e}"))
                 .unwrap_or_else(|e| panic!("{config}: training trap {e}"))
         };
@@ -81,16 +81,12 @@ fn warm_rebuild_is_bit_identical_across_all_configs() {
 fn jobs_never_change_the_executable() {
     let sources = scaled_program(12);
     for config in [PaperConfig::L2, PaperConfig::C] {
-        let serial = compile_incremental(
-            &sources,
-            &CompileOptions::paper(config),
-            &mut CompilationCache::new(),
-        )
-        .unwrap();
+        let serial =
+            compile_incremental(&sources, &CompileOptions::paper(config), &CompilationCache::new())
+                .unwrap();
         for jobs in [0, 4] {
             let opts = CompileOptions { jobs, ..CompileOptions::paper(config) };
-            let parallel =
-                compile_incremental(&sources, &opts, &mut CompilationCache::new()).unwrap();
+            let parallel = compile_incremental(&sources, &opts, &CompilationCache::new()).unwrap();
             assert_eq!(
                 parallel.exe, serial.exe,
                 "{config}: jobs={jobs} must match the serial build bit-for-bit"
@@ -107,10 +103,10 @@ fn jobs_never_change_the_executable() {
 #[test]
 fn profile_recompile_front_end_is_all_cache_hits() {
     let sources = scaled_program(6);
-    let mut cache = CompilationCache::new();
+    let cache = CompilationCache::new();
     let options = CompileOptions::default();
     let program =
-        compile_configured(&sources, PaperConfig::B, &[], &options, &mut cache).unwrap().unwrap();
+        compile_configured(&sources, PaperConfig::B, &[], &options, &cache).unwrap().unwrap();
     assert_eq!(program.build.phase1.hits, sources.len());
     assert_eq!(program.build.phase1.misses, 0);
     let report = verify_program(&program);
@@ -124,11 +120,11 @@ fn profile_recompile_front_end_is_all_cache_hits() {
 fn whitespace_edit_skips_codegen_entirely() {
     let mut sources = scaled_program(5);
     let opts = CompileOptions::paper(PaperConfig::C);
-    let mut cache = CompilationCache::new();
-    let cold = compile_incremental(&sources, &opts, &mut cache).unwrap();
+    let cache = CompilationCache::new();
+    let cold = compile_incremental(&sources, &opts, &cache).unwrap();
 
     sources[3].text.push_str("\n\n");
-    let rebuilt = compile_incremental(&sources, &opts, &mut cache).unwrap();
+    let rebuilt = compile_incremental(&sources, &opts, &cache).unwrap();
     assert_eq!(rebuilt.build.phase1.misses, 1);
     assert_eq!(rebuilt.build.phase2.hits, 5, "identical IR must not re-run codegen");
     assert!(rebuilt.build.recompiled.is_empty());

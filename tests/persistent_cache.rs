@@ -31,8 +31,8 @@ fn one_edit_of_twenty_across_cache_instances_recompiles_only_the_slice() {
 
     // "Process" 1: cold build, populates the disk tier.
     let mut sources = scaled_program(20);
-    let mut cache1 = CompilationCache::with_disk(&dir).unwrap();
-    let cold = compile_incremental(&sources, &opts, &mut cache1).unwrap();
+    let cache1 = CompilationCache::with_disk(&dir).unwrap();
+    let cold = compile_incremental(&sources, &opts, &cache1).unwrap();
     assert_eq!(cold.build.phase1.misses, 20);
     assert_eq!(cold.build.phase1.disk_hits, 0, "an empty cache dir has nothing to serve");
     assert_eq!(cold.build.recompiled.len(), 20);
@@ -40,8 +40,8 @@ fn one_edit_of_twenty_across_cache_instances_recompiles_only_the_slice() {
 
     // "Process" 2: fresh cache instance, same directory, one edited module.
     perturb(&mut sources, 10, 7);
-    let mut cache2 = CompilationCache::with_disk(&dir).unwrap();
-    let edited = compile_incremental(&sources, &opts, &mut cache2).unwrap();
+    let cache2 = CompilationCache::with_disk(&dir).unwrap();
+    let edited = compile_incremental(&sources, &opts, &cache2).unwrap();
     assert_eq!(edited.build.phase1.hits, 19, "only s10's source changed");
     assert_eq!(
         edited.build.phase1.disk_hits, 19,
@@ -58,13 +58,13 @@ fn one_edit_of_twenty_across_cache_instances_recompiles_only_the_slice() {
 
     // The disk tier is an invisible optimization: bit-identity with a
     // fresh, cache-less build of the same sources.
-    let fresh = compile_incremental(&sources, &opts, &mut CompilationCache::new()).unwrap();
+    let fresh = compile_incremental(&sources, &opts, &CompilationCache::new()).unwrap();
     assert_eq!(edited.exe, fresh.exe, "disk-cached build must match a fresh build bit-for-bit");
     assert_ne!(edited.exe, cold.exe, "the edit is observable in the machine code");
 
     // "Process" 3: nothing changed — the whole build is served from disk.
-    let mut cache3 = CompilationCache::with_disk(&dir).unwrap();
-    let warm = compile_incremental(&sources, &opts, &mut cache3).unwrap();
+    let cache3 = CompilationCache::with_disk(&dir).unwrap();
+    let warm = compile_incremental(&sources, &opts, &cache3).unwrap();
     assert_eq!(warm.build.phase1.disk_hits, 20);
     assert_eq!(warm.build.phase2.disk_hits, 20);
     assert!(warm.build.recompiled.is_empty());
@@ -84,18 +84,18 @@ fn all_configs_share_one_cache_dir_without_cross_talk() {
     let sources = scaled_program(6);
 
     let mut first = Vec::new();
-    let mut cache = CompilationCache::with_disk(&dir).unwrap();
+    let cache = CompilationCache::with_disk(&dir).unwrap();
     for config in [PaperConfig::L2, PaperConfig::A, PaperConfig::C, PaperConfig::E] {
-        let p = compile_incremental(&sources, &CompileOptions::paper(config), &mut cache).unwrap();
+        let p = compile_incremental(&sources, &CompileOptions::paper(config), &cache).unwrap();
         first.push(p);
     }
     drop(cache);
 
-    let mut cache = CompilationCache::with_disk(&dir).unwrap();
+    let cache = CompilationCache::with_disk(&dir).unwrap();
     for (i, config) in
         [PaperConfig::L2, PaperConfig::A, PaperConfig::C, PaperConfig::E].into_iter().enumerate()
     {
-        let p = compile_incremental(&sources, &CompileOptions::paper(config), &mut cache).unwrap();
+        let p = compile_incremental(&sources, &CompileOptions::paper(config), &cache).unwrap();
         assert_eq!(p.exe, first[i].exe, "{config}: second-round build must be bit-identical");
         assert_eq!(p.build.phase1.misses, 0, "{config}: phase 1 fully cached");
         assert_eq!(p.build.phase2.misses, 0, "{config}: phase 2 fully cached");

@@ -26,7 +26,7 @@ fn five_hundred_seeds_across_all_configs() {
         for config in PaperConfig::ALL {
             let options = CompileOptions::default();
             let program =
-                compile_configured(&sources, config, &[], &options, &mut CompilationCache::new())
+                compile_configured(&sources, config, &[], &options, &CompilationCache::new())
                     .unwrap()
                     .unwrap();
             let r = run_program(&program, &[]).unwrap();

@@ -73,7 +73,7 @@ fn build(
     training: &[i64],
     opts: &CompileOptions,
 ) -> ipra_driver::CompiledProgram {
-    compile_configured(sources, config, training, opts, &mut CompilationCache::new())
+    compile_configured(sources, config, training, opts, &CompilationCache::new())
         .unwrap_or_else(|e| panic!("{config}: compile error {e}"))
         .unwrap_or_else(|e| panic!("{config}: training trap {e}"))
 }
